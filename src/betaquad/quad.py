@@ -24,6 +24,12 @@ generated in distance-from-endpoint form, so near-singular factors such as
 ``(1-x)**(b-1)`` must be written as ``dhi**(b-1)``: that is what keeps
 exponents close to -1 from losing every significant digit.  Evaluation is
 never requested with a zero distance.
+
+An integrand must be elementwise.  Each engine makes one call for levels
+0..MIN_LEVEL and one per later level, so a single array mixes nodes from
+several levels, from both sides of the domain and the centre node.  No
+reduction over ``x``, and nothing that depends on an element's position
+or on the array's length, is allowed.
 """
 
 from __future__ import annotations
@@ -129,10 +135,6 @@ class IntegralSpec:
         return cls("real_line", None, None, 0.0, 0.0, tuple(poles))
 
     @property
-    def endpoint_exponents(self):
-        return (self.alpha_lo, self.alpha_hi)
-
-    @property
     def interior_poles(self):
         return self.poles
 
@@ -148,73 +150,104 @@ class QuadratureResult:
 
 
 # --------------------------------------------------------------------------
-# node tables, built lazily per refinement level and shared thereafter
+# node tables: one cache keyed by transform and level range
 # --------------------------------------------------------------------------
 
-_TS_TABLE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_ES_TABLE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-_SS_TABLE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _level_t(level):
+    """DE parameters t > 0 that are new at this level (all of them at 0)."""
+    h = 0.5 ** level
+    step = 1 if level == 0 else 2
+    return np.arange(1, int(_T_RANGE / h) + 1, step) * h
 
 
-def _level_ts(level):
-    """tanh-sinh reference nodes for t > 0 at the given level.
+def _ts_level(t):
+    """tanh-sinh reference nodes, shared by both sides of the interval.
 
-    Returns (phi, wref): phi is the interval fraction to the *near*
-    endpoint, computed from exp(-2u) so it stays exact down to underflow;
-    x'(t) = L * pi*cosh(t)*phi*(1-phi).
+    phi is the interval fraction to the *near* endpoint, computed from
+    exp(-2u) so it stays exact down to underflow; x'(t) = L *
+    pi*cosh(t)*phi*(1-phi).
     """
-    tab = _TS_TABLE.get(level)
-    if tab is None:
-        h = 0.5 ** level
-        step = 1 if level == 0 else 2
-        j = np.arange(1, int(_T_RANGE / h) + 1, step)
-        t = j * h
-        u = 0.5 * math.pi * np.sinh(t)
-        e = np.exp(-2.0 * u)
-        phi = e / (1.0 + e)
-        wref = math.pi * np.cosh(t) * phi * (1.0 - phi)
-        keep = (phi > _TINY) & (wref > _TINY)
-        tab = (phi[keep], wref[keep])
-        _TS_TABLE[level] = tab
-    return tab
+    u = 0.5 * math.pi * np.sinh(t)
+    e = np.exp(-2.0 * u)
+    phi = e / (1.0 + e)
+    wref = math.pi * np.cosh(t) * phi * (1.0 - phi)
+    keep = (phi > _TINY) & (wref > _TINY)
+    side = (phi[keep], wref[keep])
+    return side, side
 
 
-def _level_es(level):
-    """exp-sinh reference nodes: distances d = exp((pi/2) sinh t), w = d'."""
-    tab = _ES_TABLE.get(level)
-    if tab is None:
-        h = 0.5 ** level
-        step = 1 if level == 0 else 2
-        j = np.arange(1, int(_T_RANGE / h) + 1, step)
-        parts = []
-        with np.errstate(over="ignore", under="ignore"):
-            for sign in (1.0, -1.0):
-                t = sign * j * h
-                d = np.exp(0.5 * math.pi * np.sinh(t))
-                w = 0.5 * math.pi * np.cosh(t) * d
-                keep = (d > _TINY) & (d < _HUGE) & (w > _TINY) & (w < _HUGE)
-                parts.append((d[keep], w[keep]))
-        tab = (*parts[0], *parts[1])
-        _ES_TABLE[level] = tab
-    return tab
+def _es_level(t):
+    """exp-sinh distances d = exp((pi/2) sinh t) and weights w = d', for +t and -t."""
+    sides = []
+    with np.errstate(over="ignore", under="ignore"):
+        for sign in (1.0, -1.0):
+            st = sign * t
+            d = np.exp(0.5 * math.pi * np.sinh(st))
+            w = 0.5 * math.pi * np.cosh(st) * d
+            keep = (d > _TINY) & (d < _HUGE) & (w > _TINY) & (w < _HUGE)
+            sides.append((d[keep], w[keep]))
+    return tuple(sides)
 
 
-def _level_ss(level):
-    """sinh-sinh reference nodes for t > 0: |x| and weights."""
-    tab = _SS_TABLE.get(level)
-    if tab is None:
-        h = 0.5 ** level
-        step = 1 if level == 0 else 2
-        j = np.arange(1, int(_T_RANGE / h) + 1, step)
-        t = j * h
-        u = 0.5 * math.pi * np.sinh(t)
-        with np.errstate(over="ignore"):
-            x = np.sinh(u)
-            w = 0.5 * math.pi * np.cosh(t) * np.cosh(u)
-        keep = (x < _HUGE) & (w < _HUGE)
-        tab = (x[keep], w[keep])
-        _SS_TABLE[level] = tab
-    return tab
+def _ss_level(t):
+    """sinh-sinh abscissae +x and -x with their shared weights."""
+    u = 0.5 * math.pi * np.sinh(t)
+    with np.errstate(over="ignore"):
+        x = np.sinh(u)
+        w = 0.5 * math.pi * np.cosh(t) * np.cosh(u)
+    keep = (x < _HUGE) & (w < _HUGE)
+    x, w = x[keep], w[keep]
+    return (x, w), (-x, w)
+
+
+# transform: (per-level builder, reference node of the level-0 centre t = 0)
+_TRANSFORMS = {
+    "tanh_sinh": (_ts_level, 0.5),
+    "exp_sinh": (_es_level, 1.0),
+    "sinh_sinh": (_ss_level, 0.0),
+}
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Reference nodes of levels first..last, laid out for one integrand call.
+
+    ``nodes`` holds side a of every level, then side b of every level from
+    index ``split`` on, then, when ``centre`` is set (the block starts at
+    level 0), the t = 0 node last.  ``levels`` has one (slice_a, w_a,
+    slice_b, w_b) per level.
+    """
+
+    nodes: np.ndarray
+    split: int
+    levels: tuple
+    centre: bool
+
+
+_BLOCKS: dict[tuple[str, int, int], _Block] = {}
+
+
+def _block(transform, first, last):
+    key = (transform, first, last)
+    blk = _BLOCKS.get(key)
+    if blk is None:
+        build, centre = _TRANSFORMS[transform]
+        tables = [build(_level_t(level)) for level in range(first, last + 1)]
+        split = sum(a.size for (a, _), _ in tables)
+        levels = []
+        ia, ib = 0, split
+        for (a, wa), (b, wb) in tables:
+            levels.append((slice(ia, ia + a.size), wa, slice(ib, ib + b.size), wb))
+            ia += a.size
+            ib += b.size
+        nodes = [a for (a, _), _ in tables] + [b for _, (b, _) in tables]
+        if first == 0:
+            nodes.append(np.array([centre]))
+        nodes = np.concatenate(nodes)
+        nodes.setflags(write=False)  # engines may pass it to integrands as is
+        blk = _Block(nodes, split, tuple(levels), first == 0)
+        _BLOCKS[key] = blk
+    return blk
 
 
 def _call(f, x, dlo, dhi):
@@ -227,13 +260,44 @@ def _call(f, x, dlo, dhi):
     return out
 
 
+def _level_sums(blk, fv, centre_w, scale=1.0):
+    """Per-level (sum, evaluations, edge) triples from one fused evaluation.
+
+    Sides that share one weight table (tanh-sinh, sinh-sinh) sum as
+    scale * w . (f_a + f_b); exp-sinh sides have their own weights and sum
+    one dot product each.  The centre node, when present, joins level 0
+    with weight ``centre_w``.
+    """
+    out = []
+    for a, wa, b, wb in blk.levels:
+        fa, fb = fv[a], fv[b]
+        if wb is wa:
+            s = float(np.dot(wa, fa + fb)) * scale
+            edge = scale * wa[-1] * (abs(fa[-1]) + abs(fb[-1])) if wa.size else 0.0
+        else:
+            s = 0.0
+            edge = 0.0
+            for f_side, w in ((fa, wa), (fb, wb)):
+                s += float(np.dot(w, f_side))
+                if w.size:
+                    edge = max(edge, w[-1] * abs(f_side[-1]))
+        out.append([s, wa.size + wb.size, edge])
+    if blk.centre:
+        out[0][0] += centre_w * float(fv[-1])
+        out[0][1] += 1
+    return out
+
+
 def _drive(level_sum, tol, max_level=MAX_LEVEL):
     """Shared level-doubling driver.
 
-    ``level_sum(level)`` returns (sum over this level's new nodes of w*f,
-    evaluation count, magnitude of the outermost node contribution).  The
-    trapezoid value at step h halves into the next level, so
-    I_k = I_{k-1}/2 + h_k * S_k.
+    ``level_sum(first, last)`` evaluates levels first..last in a single
+    integrand call and returns, per level, (sum over that level's new nodes
+    of w*f, evaluation count, magnitude of the outermost node
+    contribution).  Levels 0..MIN_LEVEL are always all needed, so they come
+    as one block; each later level is its own block, so a sequence that
+    converges at level k never evaluates level k+1.  The trapezoid value at
+    step h halves into the next level, so I_k = I_{k-1}/2 + h_k * S_k.
 
     A level sequence only counts as converged when the outermost kept node
     contributes negligibly: the node tables stop where weights or
@@ -241,6 +305,12 @@ def _drive(level_sum, tol, max_level=MAX_LEVEL):
     alive out there (a divergent tail or a non-integrable endpoint) would
     otherwise "converge" to a truncation artifact.
     """
+
+    def levels():
+        yield from level_sum(0, min(MIN_LEVEL, max_level))
+        for level in range(MIN_LEVEL + 1, max_level + 1):
+            yield from level_sum(level, level)
+
     value = prev = None
     diff = math.inf
     evals = 0
@@ -249,8 +319,7 @@ def _drive(level_sum, tol, max_level=MAX_LEVEL):
     status = "max_level"
     edge = math.inf
     h = 1.0
-    for level in range(max_level + 1):
-        s, n, edge = level_sum(level)
+    for level, (s, n, edge) in enumerate(levels()):
         evals += n
         h = 0.5 ** level
         value = h * s if level == 0 else 0.5 * prev + h * s
@@ -298,21 +367,19 @@ def integrate_finite(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> Quadrat
     lo, hi = spec.lo, spec.hi
     L = hi - lo
 
-    def level_sum(level):
-        phi, wref = _level_ts(level)
-        near = L * phi
-        far = L * (1.0 - phi)
-        fp = _call(f, hi - near, far, near)    # nodes crowding the upper end
-        fm = _call(f, lo + near, near, far)    # nodes crowding the lower end
-        s = float(np.dot(wref, fp + fm)) * L
-        n = 2 * phi.size
-        edge = L * wref[-1] * (abs(fp[-1]) + abs(fm[-1])) if phi.size else 0.0
-        if level == 0:
-            mid = lo + 0.5 * L
-            dmid = np.array([0.5 * L])
-            s += (math.pi / 4.0) * L * float(_call(f, np.array([mid]), dmid, dmid)[0])
-            n += 1
-        return s, n, edge
+    def level_sum(first, last):
+        # side a crowds the upper end, side b (and the midpoint) the lower
+        blk = _block("tanh_sinh", first, last)
+        near = L * blk.nodes
+        far = L * (1.0 - blk.nodes)
+        m = blk.split
+        fv = _call(
+            f,
+            np.concatenate((hi - near[:m], lo + near[m:])),
+            np.concatenate((far[:m], near[m:])),
+            np.concatenate((near[:m], far[m:])),
+        )
+        return _level_sums(blk, fv, (math.pi / 4.0) * L, L)
 
     return _drive(level_sum, tol)
 
@@ -327,31 +394,13 @@ def integrate_half_line(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> Quad
         raise ValueError("tol must be positive")
     up = spec.kind == "half_line_up"
     anchor = spec.lo if up else spec.hi
-    inf = math.inf
 
-    def level_sum(level):
-        d1, w1, d2, w2 = _level_es(level)
-        s = 0.0
-        n = 0
-        edge = 0.0
-        for d, w in ((d1, w1), (d2, w2)):
-            if up:
-                fv = _call(f, anchor + d, d, np.full_like(d, inf))
-            else:
-                fv = _call(f, anchor - d, np.full_like(d, inf), d)
-            s += float(np.dot(w, fv))
-            n += d.size
-            if d.size:
-                edge = max(edge, w[-1] * abs(fv[-1]))
-        if level == 0:
-            one = np.array([1.0])
-            if up:
-                fv = _call(f, np.array([anchor + 1.0]), one, np.array([inf]))
-            else:
-                fv = _call(f, np.array([anchor - 1.0]), np.array([inf]), one)
-            s += 0.5 * math.pi * float(fv[0])
-            n += 1
-        return s, n, edge
+    def level_sum(first, last):
+        blk = _block("exp_sinh", first, last)
+        d = blk.nodes
+        infs = np.full_like(d, math.inf)
+        fv = _call(f, anchor + d, d, infs) if up else _call(f, anchor - d, infs, d)
+        return _level_sums(blk, fv, 0.5 * math.pi)
 
     return _drive(level_sum, tol)
 
@@ -360,20 +409,11 @@ def integrate_real_line(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """sinh-sinh over the whole real line (exponentially decaying integrands)."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    inf = math.inf
 
-    def level_sum(level):
-        x, w = _level_ss(level)
-        infs = np.full_like(x, inf)
-        f_pos = _call(f, x, infs, infs)
-        f_neg = _call(f, -x, infs, infs)
-        s = float(np.dot(w, f_pos + f_neg))
-        n = 2 * x.size
-        edge = w[-1] * (abs(f_pos[-1]) + abs(f_neg[-1])) if x.size else 0.0
-        if level == 0:
-            s += 0.5 * math.pi * float(_call(f, np.array([0.0]), np.array([inf]), np.array([inf]))[0])
-            n += 1
-        return s, n, edge
+    def level_sum(first, last):
+        blk = _block("sinh_sinh", first, last)
+        infs = np.full_like(blk.nodes, math.inf)
+        return _level_sums(blk, _call(f, blk.nodes, infs, infs), 0.5 * math.pi)
 
     return _drive(level_sum, tol)
 

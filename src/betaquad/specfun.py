@@ -1,8 +1,11 @@
 """Real-argument special functions: Gamma, log-Gamma, Beta, digamma.
 
-Everything here is a pure scalar function of its arguments, accurate to
-roughly 1e-14 relative, i.e. several orders tighter than the quadrature
-tolerances used downstream.  Gamma uses a fixed-coefficient Lanczos
+Everything here is a pure scalar function of its arguments.  Against a
+40-digit reference, Gamma is within 1e-14 relative on (0.05, 60] (worst
+seen 5.5e-15) and Beta within 1e-13 on [0.05, 40]^2 (worst seen 6.3e-14
+near a, b = 40, 35: exp(log_beta) amplifies the log-space error); both
+are several orders tighter than the quadrature tolerances used
+downstream.  Gamma uses a fixed-coefficient Lanczos
 approximation (g = 7, 9 terms) with an upward recurrence for large
 arguments so the giant-power evaluation does not dominate the error;
 negative arguments go through the reflection formula.  Digamma shifts its

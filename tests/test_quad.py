@@ -283,6 +283,54 @@ class TestDriverBehaviour:
         assert res.error_estimate <= 1e-9 * max(1.0, abs(res.value))
 
 
+class TestCallCounts:
+    """Levels 0..MIN_LEVEL cost one integrand call, each later level one more."""
+
+    CASES = [
+        # (engine, integrand, spec or None, level the sequence converges at)
+        (quad.integrate_finite, lambda x, dlo, dhi: x, IntegralSpec.finite(0.0, 1.0), 3),
+        (quad.integrate_finite, lambda x, dlo, dhi: np.exp(-x), IntegralSpec.finite(0.0, 3.0), 4),
+        (quad.integrate_finite, lambda x, dlo, dhi: np.cos(20.0 * x), IntegralSpec.finite(0.0, 1.0), 5),
+        (quad.integrate_half_line, lambda x, dlo, dhi: 1.0 / (1.0 + x * x),
+         IntegralSpec.half_line_up(0.0), 3),
+        (quad.integrate_half_line, lambda x, dlo, dhi: np.exp(x), IntegralSpec.half_line_down(0.0), 5),
+        (quad.integrate_real_line, lambda x, dlo, dhi: 1.0 / (1.0 + x * x) ** 2, None, 3),
+        (quad.integrate_real_line, lambda x, dlo, dhi: np.exp(-x * x), None, 5),
+    ]
+
+    @pytest.mark.parametrize("engine, f, spec, level", CASES)
+    def test_one_call_per_level_block(self, engine, f, spec, level):
+        calls = nodes = 0
+
+        def counted(x, dlo, dhi):
+            nonlocal calls, nodes
+            calls += 1
+            nodes += x.size
+            return f(x, dlo, dhi)
+
+        args = (counted, TOL) if spec is None else (counted, spec, TOL)
+        res = engine(*args)
+        assert res.converged
+        assert len(res.level_errors) == level
+        assert calls == 1 + level - quad.MIN_LEVEL
+        assert res.evaluations == nodes
+
+    @pytest.mark.parametrize("engine, f, spec, level", CASES)
+    def test_fused_block_matches_level_by_level(self, engine, f, spec, level, monkeypatch):
+        args = (f, TOL) if spec is None else (f, spec, TOL)
+        fused = engine(*args)
+        drive = quad._drive
+
+        def level_by_level(level_sum, tol, max_level=quad.MAX_LEVEL):
+            def split(first, last):
+                return [t for k in range(first, last + 1) for t in level_sum(k, k)]
+
+            return drive(split, tol, max_level)
+
+        monkeypatch.setattr(quad, "_drive", level_by_level)
+        assert engine(*args) == fused
+
+
 class TestInvariants:
     @settings(max_examples=30, deadline=None)
     @given(

@@ -1,0 +1,60 @@
+"""specfun against an independent 40-digit reference (mpmath).
+
+The residual checks in test_specfun compute Gamma on both sides, so they
+cannot see an error that specfun makes consistently; these grids compare
+every function with mpmath instead.  log_gamma and digamma have zeros
+(at 1 and 2, and at 1.4616...), so they are judged with an absolute floor
+there: |err| <= tol * max(1, |ref|).
+"""
+
+import numpy as np
+import pytest
+
+from betaquad import specfun
+
+mpmath = pytest.importorskip("mpmath")
+
+DIGAMMA_ZERO = 1.4616321449683623
+NEAR_ZEROS = [1.0, 2.0, DIGAMMA_ZERO, 0.999, 1.001, 1.999, 2.001, 1.46, 1.47]
+
+
+@pytest.fixture(autouse=True)
+def forty_digits():
+    with mpmath.workdps(40):
+        yield
+
+
+def worst(fn, ref, xs, floor):
+    """Largest |fn(x) - ref(x)| / max(floor, |ref(x)|) over xs, with its x."""
+    out = []
+    for x in xs:
+        r = ref(x)
+        out.append((float(abs(mpmath.mpf(fn(x)) - r) / max(floor, abs(r))), x))
+    return max(out)
+
+
+def test_gamma_relative():
+    xs = np.concatenate((np.linspace(0.05, 60.0, 600)[1:], np.geomspace(0.05, 60.0, 200)[1:]))
+    err, x = worst(specfun.gamma, mpmath.gamma, xs, 0.0)
+    assert err <= 1e-14, f"gamma rel err {err:.2e} at x={x}"
+
+
+def test_beta_relative():
+    grid = np.linspace(0.05, 40.0, 41)
+    pairs = [(a, b) for a in grid for b in grid]
+    rng = np.random.default_rng(20070707)
+    pairs += [tuple(p) for p in rng.uniform(0.05, 40.0, size=(400, 2))]
+    err, pair = worst(lambda p: specfun.beta(*p), lambda p: mpmath.beta(*p), pairs, 0.0)
+    assert err <= 1e-13, f"beta rel err {err:.2e} at (a, b)={pair}"
+
+
+def test_log_gamma_with_floor_at_zeros():
+    xs = list(np.linspace(0.05, 60.0, 600)) + NEAR_ZEROS
+    err, x = worst(specfun.log_gamma, mpmath.loggamma, xs, 1.0)
+    assert err <= 1e-14, f"log_gamma err {err:.2e} at x={x}"
+
+
+def test_digamma_with_floor_at_zero():
+    xs = list(np.linspace(0.05, 60.0, 600)) + NEAR_ZEROS
+    err, x = worst(specfun.digamma, mpmath.digamma, xs, 1.0)
+    assert err <= 1e-14, f"digamma err {err:.2e} at x={x}"
