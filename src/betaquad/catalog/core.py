@@ -103,6 +103,14 @@ def domain(*params, rels=(), margin=0.05):
 # stable kernels
 # --------------------------------------------------------------------------
 
+SQRT_PI = math.sqrt(math.pi)
+
+
+def cot(t):
+    """cot(t) for a scalar t."""
+    return math.cos(t) / math.sin(t)
+
+
 def softplus(y):
     """log(1 + e^y) without overflow on either side."""
     y = np.asarray(y, dtype=float)

@@ -10,6 +10,7 @@ import numpy as np
 from .. import specfun as sf
 from ..quad import IntegralSpec
 from .core import (
+    SQRT_PI,
     IdentityRecord,
     domain,
     integer,
@@ -19,8 +20,6 @@ from .core import (
     rel,
     softplus,
 )
-
-SQRT_PI = math.sqrt(math.pi)
 
 
 def _power_denominator(num_exp, power, log_v, log_u, c):

@@ -9,9 +9,7 @@ import numpy as np
 
 from .. import specfun as sf
 from ..quad import IntegralSpec
-from .core import IdentityRecord, domain, integer, log_unit, one_minus_pow, real, rel
-
-SQRT_PI = math.sqrt(math.pi)
+from .core import SQRT_PI, IdentityRecord, domain, integer, log_unit, one_minus_pow, real, rel
 
 
 def _beta_kernel(a, b):

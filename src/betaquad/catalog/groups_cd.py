@@ -12,6 +12,7 @@ from .. import specfun as sf
 from ..quad import IntegralSpec
 from .core import (
     IdentityRecord,
+    cot,
     domain,
     fold_exp_kernel,
     fold_power_shifted,
@@ -21,10 +22,6 @@ from .core import (
     rel,
     softplus,
 )
-
-
-def _cot(t):
-    return math.cos(t) / math.sin(t)
 
 
 def _halfline_beta(a, total):
@@ -158,7 +155,7 @@ GROUP_C = [
         ),
         make_folds=lambda p: (fold_power_shifted(p["a"], -p["c"]),),
         closed_form=lambda p: -math.pi
-        * _cot(math.pi * p["a"])
+        * cot(math.pi * p["a"])
         * (-p["c"]) ** (p["a"] - 1.0),
         tolerance_class="principal_value",
     ),
@@ -171,7 +168,7 @@ GROUP_C = [
         make_spec=lambda p: IntegralSpec.real_line(poles=(-math.log(-p["c"]),)),
         make_folds=lambda p: (fold_exp_kernel(p["mu"], p["c"]),),
         closed_form=lambda p: -math.pi
-        * _cot(p["mu"] * math.pi)
+        * cot(p["mu"] * math.pi)
         * (-p["c"]) ** (p["mu"] - 1.0),
         tolerance_class="principal_value",
     ),
@@ -183,7 +180,7 @@ GROUP_C = [
         make_integrand=_integrand_3313_1,
         make_spec=lambda p: IntegralSpec.real_line(poles=(0.0,)),
         make_folds=_folds_3313_1,
-        closed_form=lambda p: math.pi * _cot(p["mu"] * math.pi),
+        closed_form=lambda p: math.pi * cot(p["mu"] * math.pi),
         tolerance_class="principal_value",
     ),
     IdentityRecord(
@@ -229,7 +226,7 @@ GROUP_C = [
         / (p["a"] + p["b"])
         * (
             p["b"] ** (p["mu"] - 1.0) / math.sin(p["mu"] * math.pi)
-            + p["a"] ** (p["mu"] - 1.0) * _cot(p["mu"] * math.pi)
+            + p["a"] ** (p["mu"] - 1.0) * cot(p["mu"] * math.pi)
         ),
         tolerance_class="principal_value",
     ),
@@ -257,7 +254,7 @@ GROUP_C = [
             )
         ),
         closed_form=lambda p: math.pi
-        * _cot(p["mu"] * math.pi)
+        * cot(p["mu"] * math.pi)
         * (p["a"] ** (p["mu"] - 1.0) - p["b"] ** (p["mu"] - 1.0))
         / (p["b"] - p["a"]),
         tolerance_class="principal_value",

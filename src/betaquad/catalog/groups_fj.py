@@ -12,6 +12,7 @@ from .. import specfun as sf
 from ..quad import IntegralSpec
 from .core import (
     IdentityRecord,
+    cot,
     domain,
     logcosh,
     neg_log_unit,
@@ -19,10 +20,6 @@ from .core import (
     rel,
     softplus,
 )
-
-
-def _cot(t):
-    return math.cos(t) / math.sin(t)
 
 
 # -- group F: exponential scale ---------------------------------------------
@@ -207,7 +204,7 @@ GROUP_H = [
         make_spec=lambda p: IntegralSpec.half_line_up(
             0.0, alpha_lo=min(p["p"] - 1.0, -p["p"])
         ),
-        closed_form=lambda p: math.pi * _cot(math.pi * p["p"]),
+        closed_form=lambda p: math.pi * cot(math.pi * p["p"]),
         tolerance_class="combined",
     ),
     IdentityRecord(
@@ -219,7 +216,7 @@ GROUP_H = [
         make_spec=lambda p: IntegralSpec.half_line_up(
             0.0, alpha_lo=min(p["p"] - 1.0, -p["p"])
         ),
-        closed_form=lambda p: math.pi * _cot(math.pi * p["p"]),
+        closed_form=lambda p: math.pi * cot(math.pi * p["p"]),
         tolerance_class="combined",
     ),
 ]
@@ -257,7 +254,7 @@ GROUP_I = [
         closed_form=lambda p: math.pi
         * p["b"] ** (p["a"] - 1.0)
         / math.sin(math.pi * p["a"])
-        * (math.log(p["b"]) - math.pi * _cot(math.pi * p["a"])),
+        * (math.log(p["b"]) - math.pi * cot(math.pi * p["a"])),
     ),
 ]
 

@@ -93,8 +93,7 @@ def _cmd_verify(args):
     else:
         sys.stdout.write(payload)
 
-    failed = report.failures > 0 or (consistency is not None and consistency.verdict == "fail")
-    return 1 if failed else 0
+    return 1 if verify.overall_verdict(report, consistency) == "fail" else 0
 
 
 def run(argv) -> int:

@@ -134,19 +134,18 @@ class IntegralSpec:
     def real_line(cls, poles=()):
         return cls("real_line", None, None, 0.0, 0.0, tuple(poles))
 
-    @property
-    def interior_poles(self):
-        return self.poles
-
 
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
     error_estimate: float
     evaluations: int
-    converged: bool
-    status: str = "converged"  # converged | max_level | diverging | max_evals
+    status: str  # converged | max_level | diverging | max_evals
     level_errors: tuple[float, ...] = field(default=(), repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 # --------------------------------------------------------------------------
@@ -305,6 +304,8 @@ def _drive(level_sum, tol, max_level=MAX_LEVEL):
     alive out there (a divergent tail or a non-integrable endpoint) would
     otherwise "converge" to a truncation artifact.
     """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
 
     def levels():
         yield from level_sum(0, min(MIN_LEVEL, max_level))
@@ -330,10 +331,9 @@ def _drive(level_sum, tol, max_level=MAX_LEVEL):
             if level >= MIN_LEVEL and new_diff <= limit:
                 if h * edge > 10.0 * limit:
                     return QuadratureResult(
-                        value, max(new_diff, h * edge), evals, False, "diverging",
-                        tuple(history),
+                        value, max(new_diff, h * edge), evals, "diverging", tuple(history),
                     )
-                return QuadratureResult(value, new_diff, evals, True, "converged", tuple(history))
+                return QuadratureResult(value, new_diff, evals, "converged", tuple(history))
             if level >= 4 and new_diff > diff and new_diff > limit:
                 grew += 1
                 if grew >= 2:
@@ -349,7 +349,7 @@ def _drive(level_sum, tol, max_level=MAX_LEVEL):
             break
     if status == "max_level" and h * edge > 10.0 * tol * max(1.0, abs(value)):
         status = "diverging"
-    return QuadratureResult(value, diff, evals, False, status, tuple(history))
+    return QuadratureResult(value, diff, evals, status, tuple(history))
 
 
 # --------------------------------------------------------------------------
@@ -362,8 +362,6 @@ def integrate_finite(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> Quadrat
         raise ValueError("integrate_finite requires a finite-domain spec")
     if spec.poles:
         raise ValueError("interior poles require integrate_pv")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     lo, hi = spec.lo, spec.hi
     L = hi - lo
 
@@ -390,8 +388,6 @@ def integrate_half_line(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> Quad
         raise ValueError("integrate_half_line requires a half-line spec")
     if spec.poles:
         raise ValueError("interior poles require integrate_pv")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     up = spec.kind == "half_line_up"
     anchor = spec.lo if up else spec.hi
 
@@ -407,8 +403,6 @@ def integrate_half_line(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> Quad
 
 def integrate_real_line(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """sinh-sinh over the whole real line (exponentially decaying integrands)."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
 
     def level_sum(first, last):
         blk = _block("sinh_sinh", first, last)
@@ -416,6 +410,12 @@ def integrate_real_line(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
         return _level_sums(blk, _call(f, blk.nodes, infs, infs), 0.5 * math.pi)
 
     return _drive(level_sum, tol)
+
+
+def _distances(x, lo, hi):
+    """Distances x - lo and hi - x to the domain endpoints; an infinite
+    endpoint gives inf without special handling."""
+    return x - lo, hi - x
 
 
 def _naive_fold(f, s, lo, hi):
@@ -429,9 +429,7 @@ def _naive_fold(f, s, lo, hi):
         uc = np.maximum(u, 1e-7 * max(abs(s), 1.0))
         out = 0.0
         for x in (s + uc, s - uc):
-            dlo = x - lo if math.isfinite(lo) else np.full_like(x, math.inf)
-            dhi = hi - x if math.isfinite(hi) else np.full_like(x, math.inf)
-            out = out + _call(f, x, dlo, dhi)
+            out = out + _call(f, x, *_distances(x, lo, hi))
         return out
 
     return fold
@@ -446,11 +444,8 @@ def _rebased(f, lo, hi, sub_lo, sub_hi):
     keep_hi = sub_hi == hi
 
     def g(x, dlo, dhi):
-        if not keep_lo:
-            dlo = x - lo if math.isfinite(lo) else np.full_like(np.asarray(x, float), math.inf)
-        if not keep_hi:
-            dhi = hi - x if math.isfinite(hi) else np.full_like(np.asarray(x, float), math.inf)
-        return f(x, dlo, dhi)
+        far_lo, far_hi = _distances(x, lo, hi)
+        return f(x, dlo if keep_lo else far_lo, dhi if keep_hi else far_hi)
 
     return g
 
@@ -470,8 +465,6 @@ def integrate_pv(f, spec: IntegralSpec, tol: float = DEFAULT_TOL, folds=None) ->
         raise ValueError("integrate_pv requires at least one declared pole")
     if len(spec.poles) > 2:
         raise ValueError("at most two interior poles are supported")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     poles = list(spec.poles)
     if folds is not None and len(folds) != len(poles):
         raise ValueError("folds must align with spec.poles")
@@ -498,16 +491,14 @@ def integrate_pv(f, spec: IntegralSpec, tol: float = DEFAULT_TOL, folds=None) ->
     total = 0.0
     err = 0.0
     evals = 0
-    ok = True
     status = "converged"
 
     def absorb(res):
-        nonlocal total, err, evals, ok, status
+        nonlocal total, err, evals, status
         total += res.value
         err += res.error_estimate
         evals += res.evaluations
         if not res.converged:
-            ok = False
             status = res.status
 
     # pole windows, integrated in the offset variable u on (0, h)
@@ -528,25 +519,18 @@ def integrate_pv(f, spec: IntegralSpec, tol: float = DEFAULT_TOL, folds=None) ->
         a, b = cuts[k], cuts[k + 1]
         if b <= a + 1e-14 * max(1.0, abs(a)):
             continue
-        if math.isinf(a) and math.isinf(b):
-            raise PoleWindowError("unbounded residual piece on both sides")
-        g = _rebased(f, lo, hi, a, b)
-        if math.isinf(b):
-            sub = IntegralSpec.half_line_up(a, alpha_lo=spec.alpha_lo if a == lo else 0.0)
-            absorb(integrate_half_line(g, sub, piece_tol))
-        elif math.isinf(a):
-            sub = IntegralSpec.half_line_down(b, alpha_hi=spec.alpha_hi if b == hi else 0.0)
-            absorb(integrate_half_line(g, sub, piece_tol))
-        else:
-            sub = IntegralSpec.finite(
-                a,
-                b,
-                alpha_lo=spec.alpha_lo if a == lo else 0.0,
-                alpha_hi=spec.alpha_hi if b == hi else 0.0,
-            )
-            absorb(integrate_finite(g, sub, piece_tol))
+        # every piece touches a window, so at most one of its ends is infinite
+        kind = "half_line_down" if math.isinf(a) else "half_line_up" if math.isinf(b) else "finite"
+        sub = IntegralSpec(
+            kind,
+            a if math.isfinite(a) else None,
+            b if math.isfinite(b) else None,
+            spec.alpha_lo if a == lo else 0.0,
+            spec.alpha_hi if b == hi else 0.0,
+        )
+        absorb(integrate(_rebased(f, lo, hi, a, b), sub, piece_tol))
 
-    return QuadratureResult(total, err, evals, ok, status if not ok else "converged")
+    return QuadratureResult(total, err, evals, status)
 
 
 def integrate(f, spec: IntegralSpec, tol: float = DEFAULT_TOL, folds=None) -> QuadratureResult:

@@ -32,6 +32,7 @@ __all__ = [
     "verify_entry",
     "verify_all",
     "cross_check_consistency",
+    "overall_verdict",
     "report_to_jsonl",
     "report_to_text",
 ]
@@ -105,25 +106,12 @@ class ConsistencyReport:
         return "pass" if all(c.passed for c in self.checks) else "fail"
 
 
-def _entry_rtol(rec, cfg):
-    return cfg.rtol_override if cfg.rtol_override is not None else rec.rtol
-
-
-def _entry_atol(rec, cfg):
-    return max(cfg.atol, rec.zero_atol or 0.0)
-
-
 def verify_entry(rec, cfg: RunConfig) -> list[VerificationOutcome]:
     """Run cfg.samples_per_entry deterministic comparisons for one entry."""
-    rtol = _entry_rtol(rec, cfg)
-    atol = _entry_atol(rec, cfg)
-    outcomes = []
-    for index in range(cfg.samples_per_entry):
-        outcomes.append(_verify_sample(rec, cfg, index, rtol, atol))
-    return outcomes
+    return [_verify_sample(rec, index, cfg) for index in range(cfg.samples_per_entry)]
 
 
-def _verify_sample(rec, cfg, index, rtol, atol):
+def _verify_sample(rec, index, cfg):
     start = time.perf_counter()
     params = {}
     try:
@@ -142,6 +130,8 @@ def _verify_sample(rec, cfg, index, rtol, atol):
     elapsed = 1e3 * (time.perf_counter() - start)
 
     numeric = result.value
+    rtol = cfg.rtol_override if cfg.rtol_override is not None else rec.rtol
+    atol = max(cfg.atol, rec.zero_atol or 0.0)
     abs_err = abs(numeric - closed)
     rel_err = abs_err / max(abs(closed), REL_ERR_FLOOR)
     certified = result.converged or (
@@ -176,15 +166,14 @@ def verify_all(cfg: RunConfig) -> VerificationReport:
     ]
 
     def run_task(task):
-        rec, index = task
-        return _verify_sample(rec, cfg, index, _entry_rtol(rec, cfg), _entry_atol(rec, cfg))
+        return _verify_sample(*task, cfg)
 
+    # tasks are in (sorted id, index) order and map keeps it: no sort needed
     if cfg.parallelism > 1:
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
             results = list(pool.map(run_task, tasks))
     else:
-        results = [run_task(t) for t in tasks]
-    results.sort(key=lambda o: (o.entry_id, o.sample_index))
+        results = list(map(run_task, tasks))
 
     passes = sum(1 for o in results if o.status == "pass")
     failures = len(results) - passes
@@ -303,6 +292,13 @@ def _check_fake_parameter(cfg, entry_id, fake_name):
 # serialization
 # --------------------------------------------------------------------------
 
+def overall_verdict(report: VerificationReport, consistency: ConsistencyReport | None = None) -> str:
+    """'pass' when every outcome passed and every consistency check, if any ran."""
+    if report.verdict == "fail" or (consistency is not None and consistency.verdict == "fail"):
+        return "fail"
+    return "pass"
+
+
 def report_to_jsonl(report: VerificationReport, consistency: ConsistencyReport | None = None) -> str:
     """JSON lines: one outcome per line, then one summary object.
 
@@ -329,9 +325,6 @@ def report_to_jsonl(report: VerificationReport, consistency: ConsistencyReport |
                 }
             )
         )
-    verdict = report.verdict
-    if consistency is not None and consistency.verdict == "fail":
-        verdict = "fail"
     lines.append(
         json.dumps(
             {
@@ -341,7 +334,7 @@ def report_to_jsonl(report: VerificationReport, consistency: ConsistencyReport |
                 "failures": report.failures,
                 "worst_rel_err": report.worst_rel_err,
                 "wall_ms": 0.0,
-                "verdict": verdict,
+                "verdict": overall_verdict(report, consistency),
             }
         )
     )
@@ -380,14 +373,11 @@ def report_to_text(report: VerificationReport, consistency: ConsistencyReport | 
         for c in consistency.checks:
             mark = "pass" if c.passed else "FAIL"
             lines.append(f"  {c.name:<28} {mark}  worst={c.worst:.3e}  ({c.detail})")
-    verdict = report.verdict
-    if consistency is not None and consistency.verdict == "fail":
-        verdict = "fail"
     lines.append("")
     lines.append(
         f"summary: entries={report.entries} outcomes={len(report.outcomes)} "
         f"passes={report.passes} failures={report.failures} "
         f"worst_rel_err={report.worst_rel_err:.3e} wall_ms={report.wall_ms:.1f} "
-        f"verdict={verdict}"
+        f"verdict={overall_verdict(report, consistency)}"
     )
     return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from betaquad import catalog
+from betaquad import catalog, verify
 from betaquad.cli import run
 
 
@@ -96,6 +96,16 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert json.loads(out.strip().split("\n")[-1])["verdict"] == "fail"
+
+    def test_consistency_failure_exits_1(self, capsys, monkeypatch):
+        fake = verify.ConsistencyReport(
+            [verify.ConsistencyCheck("synthetic", False, 1.0, "forced")], 0.0
+        )
+        monkeypatch.setattr(verify, "cross_check_consistency", lambda cfg: fake)
+        code = run(["verify", "--samples", "1"])
+        summary = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+        assert code == 1
+        assert summary["failures"] == 0 and summary["verdict"] == "fail"
 
     def test_deterministic_reports_across_jobs(self, tmp_path):
         args = ["verify", "--id", "3.217", "--id", "3.313.1", "--samples", "4",

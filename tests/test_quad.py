@@ -37,7 +37,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             IntegralSpec.finite(0.0, 3.0, poles=(1.0, 1.0))
         spec = IntegralSpec.finite(0.0, 3.0, poles=(2.0, 1.0))
-        assert spec.interior_poles == (1.0, 2.0)
+        assert spec.poles == (1.0, 2.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -86,15 +86,34 @@ class TestFinite:
         quad.integrate_finite(probe, IntegralSpec.finite(2.0, 5.0), TOL)
         assert seen["min"] > 0.0
 
-    def test_rejects_bad_args(self):
+    def test_rejects_wrong_kind(self):
         with pytest.raises(ValueError):
             quad.integrate_finite(
                 lambda x, dlo, dhi: x, IntegralSpec.half_line_up(0.0), TOL
             )
-        with pytest.raises(ValueError):
-            quad.integrate_finite(
-                lambda x, dlo, dhi: x, IntegralSpec.finite(0.0, 1.0), -1.0
-            )
+
+
+def _never_called(x, dlo, dhi):
+    raise AssertionError("integrand evaluated despite a bad tol")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize(
+    "engine",
+    [
+        lambda tol: quad.integrate_finite(_never_called, IntegralSpec.finite(0.0, 1.0), tol),
+        lambda tol: quad.integrate_half_line(_never_called, IntegralSpec.half_line_up(0.0), tol),
+        lambda tol: quad.integrate_real_line(_never_called, tol),
+        lambda tol: quad.integrate_pv(
+            _never_called, IntegralSpec.finite(0.0, 2.0, poles=(1.0,)), tol
+        ),
+        lambda tol: quad.integrate(_never_called, IntegralSpec.finite(0.0, 1.0), tol),
+    ],
+    ids=["finite", "half_line", "real_line", "pv", "integrate"],
+)
+def test_rejects_bad_args(engine, tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        engine(tol)
 
 
 class TestHalfLine:
@@ -171,6 +190,15 @@ class TestPrincipalValue:
         res = quad.integrate_pv(
             lambda x, dlo, dhi: 1.0 / (np.sqrt(dlo) * (x - 1.0)),
             IntegralSpec.half_line_up(0.0, alpha_lo=-0.5, poles=(1.0,)),
+            TOL,
+        )
+        assert res.value == pytest.approx(0.0, abs=1e-8)
+
+    def test_half_line_down_pole_odd_exponent(self):
+        # mirror image: PV int_-inf^0 (-x)^(-1/2)/(-x-1) dx = 0
+        res = quad.integrate_pv(
+            lambda x, dlo, dhi: 1.0 / (np.sqrt(dhi) * (-x - 1.0)),
+            IntegralSpec.half_line_down(0.0, alpha_hi=-0.5, poles=(-1.0,)),
             TOL,
         )
         assert res.value == pytest.approx(0.0, abs=1e-8)

@@ -209,3 +209,4 @@ class TestSerialization:
         )
         summary = json.loads(verify.report_to_jsonl(report, fake).strip().split("\n")[-1])
         assert summary["verdict"] == "fail"
+        assert "verdict=fail" in verify.report_to_text(report, fake)
