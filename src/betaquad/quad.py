@@ -29,7 +29,8 @@ An integrand must be elementwise.  Each engine makes one call for levels
 0..MIN_LEVEL and one per later level, so a single array mixes nodes from
 several levels, from both sides of the domain and the centre node.  No
 reduction over ``x``, and nothing that depends on an element's position
-or on the array's length, is allowed.
+or on the array's length, is allowed.  The arguments may be read-only
+arrays shared between calls, and an integrand must not modify them.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ class PoleWindowError(QuadratureError):
     """No symmetric window fits around a declared principal-value pole."""
 
 
+def _finite(v):
+    return v is not None and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class IntegralSpec:
     """Domain, endpoint singularity exponents and interior pole locations.
@@ -99,14 +104,14 @@ class IntegralSpec:
     def __post_init__(self):
         if self.kind not in ("finite", "half_line_up", "half_line_down", "real_line"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.alpha_lo <= -1.0 or self.alpha_hi <= -1.0:
+        if not (self.alpha_lo > -1.0 and self.alpha_hi > -1.0):  # NaN fails too
             raise ValueError("endpoint exponents must exceed -1 for integrability")
         if self.kind == "finite":
-            if self.lo is None or self.hi is None or not self.lo < self.hi:
-                raise ValueError("finite domain requires lo < hi")
-        elif self.kind == "half_line_up" and self.lo is None:
+            if not (_finite(self.lo) and _finite(self.hi) and self.lo < self.hi):
+                raise ValueError("finite domain requires finite lo < hi")
+        elif self.kind == "half_line_up" and not _finite(self.lo):
             raise ValueError("half_line_up requires a finite lower endpoint")
-        elif self.kind == "half_line_down" and self.hi is None:
+        elif self.kind == "half_line_down" and not _finite(self.hi):
             raise ValueError("half_line_down requires a finite upper endpoint")
         lo = self.lo if self.lo is not None else -math.inf
         hi = self.hi if self.hi is not None else math.inf
@@ -209,18 +214,34 @@ _TRANSFORMS = {
 
 @dataclass(frozen=True)
 class _Block:
-    """Reference nodes of levels first..last, laid out for one integrand call.
+    """Levels first..last of one transform, laid out for one integrand call.
 
-    ``nodes`` holds side a of every level, then side b of every level from
-    index ``split`` on, then, when ``centre`` is set (the block starts at
-    level 0), the t = 0 node last.  ``levels`` has one (slice_a, w_a,
-    slice_b, w_b) per level.
+    The call array holds side a of every level, then side b of every level
+    from index ``split`` on, then, when ``centre`` is set (the block starts
+    at level 0), the t = 0 node last.  Everything a call needs is built
+    once here, and each transform keeps only the arrays its engine uses:
+
+    - tanh-sinh: ``unit``, whose rows are the distances to the lower and to
+      the upper end in units of the interval length;
+    - exp-sinh and sinh-sinh: ``nodes`` (distances from the anchor, or the
+      abscissae) and ``inf``, the distance to an infinite end, a
+      zero-stride view that takes no memory.
+
+    These arrays are read-only, since the engines pass them to integrands
+    as they are.  ``shared`` says that both sides of a level use one weight
+    table.  ``levels`` has one tuple per level: its evaluation count (level
+    0 counts the centre), the slice and weights of side a and of side b,
+    the call-array index of the outermost node on each side, and the
+    weights of those two nodes as Python floats.
     """
 
-    nodes: np.ndarray
     split: int
-    levels: tuple
     centre: bool
+    shared: bool
+    levels: tuple
+    nodes: np.ndarray | None = None
+    unit: np.ndarray | None = None
+    inf: np.ndarray | None = None
 
 
 _BLOCKS: dict[tuple[str, int, int], _Block] = {}
@@ -229,62 +250,85 @@ _BLOCKS: dict[tuple[str, int, int], _Block] = {}
 def _block(transform, first, last):
     key = (transform, first, last)
     blk = _BLOCKS.get(key)
-    if blk is None:
-        build, centre = _TRANSFORMS[transform]
-        tables = [build(_level_t(level)) for level in range(first, last + 1)]
-        split = sum(a.size for (a, _), _ in tables)
-        levels = []
-        ia, ib = 0, split
-        for (a, wa), (b, wb) in tables:
-            levels.append((slice(ia, ia + a.size), wa, slice(ib, ib + b.size), wb))
-            ia += a.size
-            ib += b.size
-        nodes = [a for (a, _), _ in tables] + [b for _, (b, _) in tables]
-        if first == 0:
-            nodes.append(np.array([centre]))
-        nodes = np.concatenate(nodes)
-        nodes.setflags(write=False)  # engines may pass it to integrands as is
-        blk = _Block(nodes, split, tuple(levels), first == 0)
-        _BLOCKS[key] = blk
+    if blk is not None:
+        return blk
+    build, centre_node = _TRANSFORMS[transform]
+    tables = [build(_level_t(level)) for level in range(first, last + 1)]
+    split = sum(a.size for (a, _), _ in tables)
+    centre = first == 0
+    levels = []
+    ia, ib = 0, split
+    # every level keeps its innermost t, so no side of a level is empty
+    for (a, wa), (b, wb) in tables:
+        sa, sb = slice(ia, ia + a.size), slice(ib, ib + b.size)
+        ia += a.size
+        ib += b.size
+        levels.append([a.size + b.size, sa, wa, sb, wb, ia - 1, ib - 1, float(wa[-1]), float(wb[-1])])
+    if centre:
+        levels[0][0] += 1
+    nodes = np.concatenate(
+        [a for (a, _), _ in tables] + [b for _, (b, _) in tables]
+        + ([np.array([centre_node])] if centre else [])
+    )
+    if transform == "tanh_sinh":
+        far = 1.0 - nodes
+        arrays = {"unit": np.stack((
+            np.concatenate((far[:split], nodes[split:])),
+            np.concatenate((nodes[:split], far[split:])),
+        ))}
+    else:
+        arrays = {"nodes": nodes, "inf": np.broadcast_to(math.inf, nodes.shape)}
+    for a in arrays.values():
+        a.setflags(write=False)
+    shared = all(wb is wa for (_, wa), (_, wb) in tables)
+    blk = _BLOCKS[key] = _Block(split, centre, shared, tuple(map(tuple, levels)), **arrays)
     return blk
+
+
+def _check_finite(x, fv):
+    bad = ~np.isfinite(fv)
+    if bad.any():
+        where = np.asarray(x)[bad][:3]
+        raise EvaluationError(f"integrand returned non-finite values near x={where}")
 
 
 def _call(f, x, dlo, dhi):
     with np.errstate(all="ignore"):
         out = np.asarray(f(x, dlo, dhi), dtype=float)
-    bad = ~np.isfinite(out)
-    if bad.any():
-        where = np.asarray(x)[bad][:3]
-        raise EvaluationError(f"integrand returned non-finite values near x={where}")
+    _check_finite(x, out)
     return out
 
 
-def _level_sums(blk, fv, centre_w, scale=1.0):
-    """Per-level (sum, evaluations, edge) triples from one fused evaluation.
+def _level_sums(blk, x, out, centre_w, scale=1.0):
+    """Per-level [sum, evaluations, edge] triples from one fused evaluation.
 
     Sides that share one weight table (tanh-sinh, sinh-sinh) sum as
     scale * w . (f_a + f_b); exp-sinh sides have their own weights and sum
-    one dot product each.  The centre node, when present, joins level 0
-    with weight ``centre_w``.
+    one dot product each.  The centre node joins level 0 with weight
+    ``centre_w``.  Every weight is positive and finite, so a non-finite
+    integrand value always makes its level sum non-finite: the elementwise
+    scan for the error message runs only then.
     """
-    out = []
-    for a, wa, b, wb in blk.levels:
-        fa, fb = fv[a], fv[b]
-        if wb is wa:
-            s = float(np.dot(wa, fa + fb)) * scale
-            edge = scale * wa[-1] * (abs(fa[-1]) + abs(fb[-1])) if wa.size else 0.0
-        else:
-            s = 0.0
-            edge = 0.0
-            for f_side, w in ((fa, wa), (fb, wb)):
-                s += float(np.dot(w, f_side))
-                if w.size:
-                    edge = max(edge, w[-1] * abs(f_side[-1]))
-        out.append([s, wa.size + wb.size, edge])
+    fv = np.asarray(out, dtype=float)
+    at = fv.item
+    if blk.shared:
+        m = blk.split
+        g = fv[:m] + fv[m:2 * m]
+        triples = [
+            [float(w.dot(g[a])) * scale, n, scale * w_end * (abs(at(ia)) + abs(at(ib)))]
+            for n, a, w, _, _, ia, ib, w_end, _ in blk.levels
+        ]
+    else:
+        triples = [
+            [0.0 + float(wa.dot(fv[a])) + float(wb.dot(fv[b])), n,
+             max(wa_end * abs(at(ia)), wb_end * abs(at(ib)))]
+            for n, a, wa, b, wb, ia, ib, wa_end, wb_end in blk.levels
+        ]
     if blk.centre:
-        out[0][0] += centre_w * float(fv[-1])
-        out[0][1] += 1
-    return out
+        triples[0][0] += centre_w * at(-1)
+    if not math.isfinite(sum([t[0] for t in triples])):
+        _check_finite(x, fv)
+    return triples
 
 
 def _drive(level_sum, tol, max_level=MAX_LEVEL):
@@ -320,33 +364,35 @@ def _drive(level_sum, tol, max_level=MAX_LEVEL):
     status = "max_level"
     edge = math.inf
     h = 1.0
-    for level, (s, n, edge) in enumerate(levels()):
-        evals += n
-        h = 0.5 ** level
-        value = h * s if level == 0 else 0.5 * prev + h * s
-        if prev is not None:
-            new_diff = abs(value - prev)
-            history.append(new_diff)
-            limit = tol * max(1.0, abs(value))
-            if level >= MIN_LEVEL and new_diff <= limit:
-                if h * edge > 10.0 * limit:
-                    return QuadratureResult(
-                        value, max(new_diff, h * edge), evals, "diverging", tuple(history),
-                    )
-                return QuadratureResult(value, new_diff, evals, "converged", tuple(history))
-            if level >= 4 and new_diff > diff and new_diff > limit:
-                grew += 1
-                if grew >= 2:
-                    status = "diverging"
-                    diff = new_diff
-                    break
-            else:
-                grew = 0
-            diff = new_diff
-        prev = value
-        if evals > MAX_EVALUATIONS:
-            status = "max_evals"
-            break
+    # every integrand call runs inside this loop, so one errstate covers them all
+    with np.errstate(all="ignore"):
+        for level, (s, n, edge) in enumerate(levels()):
+            evals += n
+            h = 0.5 ** level
+            value = h * s if level == 0 else 0.5 * prev + h * s
+            if prev is not None:
+                new_diff = abs(value - prev)
+                history.append(new_diff)
+                limit = tol * max(1.0, abs(value))
+                if level >= MIN_LEVEL and new_diff <= limit:
+                    if h * edge > 10.0 * limit:
+                        return QuadratureResult(
+                            value, max(new_diff, h * edge), evals, "diverging", tuple(history),
+                        )
+                    return QuadratureResult(value, new_diff, evals, "converged", tuple(history))
+                if level >= 4 and new_diff > diff and new_diff > limit:
+                    grew += 1
+                    if grew >= 2:
+                        status = "diverging"
+                        diff = new_diff
+                        break
+                else:
+                    grew = 0
+                diff = new_diff
+            prev = value
+            if evals > MAX_EVALUATIONS:
+                status = "max_evals"
+                break
     if status == "max_level" and h * edge > 10.0 * tol * max(1.0, abs(value)):
         status = "diverging"
     return QuadratureResult(value, diff, evals, status, tuple(history))
@@ -368,16 +414,10 @@ def integrate_finite(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> Quadrat
     def level_sum(first, last):
         # side a crowds the upper end, side b (and the midpoint) the lower
         blk = _block("tanh_sinh", first, last)
-        near = L * blk.nodes
-        far = L * (1.0 - blk.nodes)
-        m = blk.split
-        fv = _call(
-            f,
-            np.concatenate((hi - near[:m], lo + near[m:])),
-            np.concatenate((far[:m], near[m:])),
-            np.concatenate((near[:m], far[m:])),
-        )
-        return _level_sums(blk, fv, (math.pi / 4.0) * L, L)
+        dlo, dhi = L * blk.unit
+        x = lo + dlo
+        np.subtract(hi, dhi[:blk.split], out=x[:blk.split])
+        return _level_sums(blk, x, f(x, dlo, dhi), (math.pi / 4.0) * L, L)
 
     return _drive(level_sum, tol)
 
@@ -394,9 +434,13 @@ def integrate_half_line(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> Quad
     def level_sum(first, last):
         blk = _block("exp_sinh", first, last)
         d = blk.nodes
-        infs = np.full_like(d, math.inf)
-        fv = _call(f, anchor + d, d, infs) if up else _call(f, anchor - d, infs, d)
-        return _level_sums(blk, fv, 0.5 * math.pi)
+        if up:
+            x = anchor + d
+            out = f(x, d, blk.inf)
+        else:
+            x = anchor - d
+            out = f(x, blk.inf, d)
+        return _level_sums(blk, x, out, 0.5 * math.pi)
 
     return _drive(level_sum, tol)
 
@@ -406,8 +450,8 @@ def integrate_real_line(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
 
     def level_sum(first, last):
         blk = _block("sinh_sinh", first, last)
-        infs = np.full_like(blk.nodes, math.inf)
-        return _level_sums(blk, _call(f, blk.nodes, infs, infs), 0.5 * math.pi)
+        x = blk.nodes
+        return _level_sums(blk, x, f(x, blk.inf, blk.inf), 0.5 * math.pi)
 
     return _drive(level_sum, tol)
 

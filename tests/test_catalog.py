@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from betaquad import catalog, quad, specfun as sf
@@ -209,6 +210,33 @@ class TestDomainCorners:
                 assert res.converged or res.error_estimate <= 1e-8 * max(
                     1.0, abs(res.value)
                 ), (rec.id, params, res.status)
+
+
+class TestIntegrandsReadOnly:
+    """Engines may pass read-only arrays shared between calls, so no
+    integrand or fold may write into its arguments."""
+
+    @staticmethod
+    def frozen(f):
+        def g(*args):
+            copies = [np.array(a, dtype=float) for a in args]
+            for a in copies:
+                a.setflags(write=False)
+            return f(*copies)
+
+        return g
+
+    @pytest.mark.parametrize("rec", catalog.all_entries(), ids=lambda r: r.id)
+    def test_integrand_and_folds_leave_arguments_alone(self, rec):
+        params = catalog.mid_params(rec)
+        folds = rec.make_folds(params) if rec.make_folds is not None else None
+        res = quad.integrate(
+            self.frozen(rec.make_integrand(params)),
+            rec.make_spec(params),
+            1e-10,
+            folds=None if folds is None else tuple(self.frozen(fold) for fold in folds),
+        )
+        assert math.isfinite(res.value)
 
 
 class TestEndpointAudit:

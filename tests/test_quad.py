@@ -1,5 +1,6 @@
 """Quadrature engine behaviour: spot values, invariants, failure modes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betaquad import quad
+from betaquad import catalog, quad
 from betaquad.quad import IntegralSpec
 
 SQRT_PI = math.sqrt(math.pi)
@@ -42,6 +43,25 @@ class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             IntegralSpec("circle")
+
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_finite_endpoints_must_be_finite(self, lo, hi):
+        with pytest.raises(ValueError):
+            IntegralSpec.finite(lo, hi)
+
+    def test_half_line_anchor_must_be_finite(self):
+        with pytest.raises(ValueError):
+            IntegralSpec.half_line_up(math.inf)
+        with pytest.raises(ValueError):
+            IntegralSpec.half_line_down(-math.inf)
+        with pytest.raises(ValueError):
+            IntegralSpec.half_line_up(math.nan)
+
+    def test_nan_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            IntegralSpec.finite(0.0, 1.0, alpha_lo=math.nan)
+        with pytest.raises(ValueError):
+            IntegralSpec.half_line_down(0.0, alpha_hi=math.nan)
 
 
 class TestFinite:
@@ -357,6 +377,233 @@ class TestCallCounts:
 
         monkeypatch.setattr(quad, "_drive", level_by_level)
         assert engine(*args) == fused
+
+
+# --------------------------------------------------------------------------
+# reference evaluation: per-level tables concatenated afresh for every call,
+# one np.dot per level (per side where the sides have their own weights) and
+# edges taken per level.  The engines must match it bit for bit.
+# --------------------------------------------------------------------------
+
+def _ref_call(f, x, dlo, dhi):
+    with np.errstate(all="ignore"):
+        out = np.asarray(f(x, dlo, dhi), dtype=float)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise quad.EvaluationError(f"integrand returned non-finite values near x={x[bad][:3]}")
+    return out
+
+
+def _ref_level_sum(transform, call, centre_w, scale=1.0):
+    build, centre = quad._TRANSFORMS[transform]
+
+    def level_sum(first, last):
+        tables = [build(quad._level_t(level)) for level in range(first, last + 1)]
+        side_a = [a for (a, _), _ in tables]
+        side_b = [b for _, (b, _) in tables]
+        extra = [np.array([centre])] if first == 0 else []
+        split = sum(a.size for a in side_a)
+        fv = call(np.concatenate(side_a + side_b + extra), split)
+        out = []
+        ia, ib = 0, split
+        for (a, wa), (b, wb) in tables:
+            fa, fb = fv[ia:ia + a.size], fv[ib:ib + b.size]
+            ia += a.size
+            ib += b.size
+            if wb is wa:
+                s = float(np.dot(wa, fa + fb)) * scale
+                edge = scale * wa[-1] * (abs(fa[-1]) + abs(fb[-1]))
+            else:
+                s = 0.0
+                edge = 0.0
+                for f_side, w in ((fa, wa), (fb, wb)):
+                    s += float(np.dot(w, f_side))
+                    edge = max(edge, w[-1] * abs(f_side[-1]))
+            out.append([s, wa.size + wb.size, edge])
+        if first == 0:
+            out[0][0] += centre_w * float(fv[-1])
+            out[0][1] += 1
+        return out
+
+    return level_sum
+
+
+def reference_level_sum(f, spec):
+    """level_sum(first, last) of f over a pole-free spec (None: the real line)."""
+    if spec is None or spec.kind == "real_line":
+        def call(x, _):
+            infs = np.full_like(x, math.inf)
+            return _ref_call(f, x, infs, infs)
+
+        return _ref_level_sum("sinh_sinh", call, 0.5 * math.pi)
+    if spec.kind == "finite":
+        lo, hi = spec.lo, spec.hi
+        L = hi - lo
+
+        def call(nodes, m):
+            near = L * nodes
+            far = L * (1.0 - nodes)
+            return _ref_call(
+                f,
+                np.concatenate((hi - near[:m], lo + near[m:])),
+                np.concatenate((far[:m], near[m:])),
+                np.concatenate((near[:m], far[m:])),
+            )
+
+        return _ref_level_sum("tanh_sinh", call, (math.pi / 4.0) * L, L)
+    up = spec.kind == "half_line_up"
+    anchor = spec.lo if up else spec.hi
+
+    def call(d, _):
+        infs = np.full_like(d, math.inf)
+        return _ref_call(f, anchor + d, d, infs) if up else _ref_call(f, anchor - d, infs, d)
+
+    return _ref_level_sum("exp_sinh", call, 0.5 * math.pi)
+
+
+def reference_integrate(f, spec, tol=TOL):
+    return quad._drive(reference_level_sum(f, spec), tol)
+
+
+def engine_integrate(f, spec, tol=TOL):
+    return quad.integrate_real_line(f, tol) if spec is None else quad.integrate(f, spec, tol)
+
+
+def engine_level_sum(f, spec):
+    """The level_sum an engine hands to `_drive`."""
+    captured = []
+    drive = quad._drive
+    quad._drive = lambda level_sum, tol, max_level=quad.MAX_LEVEL: captured.append(level_sum)
+    try:
+        engine_integrate(f, spec)
+    finally:
+        quad._drive = drive
+    return captured[0]
+
+
+def block_triples(level_sum):
+    """Every block `_drive` can ask for, as hex (sum, count, edge) triples."""
+    blocks = [(0, quad.MIN_LEVEL)] + [(k, k) for k in range(quad.MIN_LEVEL + 1, quad.MAX_LEVEL + 1)]
+    with np.errstate(all="ignore"):
+        return [
+            (float(s).hex(), n, float(edge).hex())
+            for first, last in blocks for s, n, edge in level_sum(first, last)
+        ]
+
+
+def bits(res):
+    """A result with every float as its hex string: equal means bit-identical
+    (a NaN equals a NaN, -0.0 differs from 0.0)."""
+    return (
+        float(res.value).hex(), float(res.error_estimate).hex(), res.evaluations,
+        res.status, tuple(float(e).hex() for e in res.level_errors),
+    )
+
+
+def outcome(integrate, f, spec):
+    try:
+        return bits(integrate(f, spec))
+    except quad.EvaluationError as exc:
+        return ("EvaluationError", str(exc))
+
+
+class TestReferenceEvaluation:
+    @pytest.mark.parametrize("engine, f, spec, level", TestCallCounts.CASES)
+    def test_call_count_cases(self, engine, f, spec, level):
+        assert bits(engine_integrate(f, spec)) == bits(reference_integrate(f, spec))
+        assert block_triples(engine_level_sum(f, spec)) == block_triples(reference_level_sum(f, spec))
+
+    @pytest.mark.parametrize(
+        "rec", [r for r in catalog.all_entries() if not r.make_spec(catalog.mid_params(r)).poles],
+        ids=lambda r: r.id,
+    )
+    def test_catalog_entry(self, rec):
+        """mid_params, then four samples at the 0.01 edge margin; at
+        mid_params also every block's (sum, count, edge) triples."""
+        edge = dataclasses.replace(rec, domain=dataclasses.replace(rec.domain, margin=0.01))
+        points = [catalog.mid_params(rec)] + [catalog.sample_params(edge, 7, i) for i in range(4)]
+        for params in points:
+            f, spec = rec.make_integrand(params), rec.make_spec(params)
+            assert outcome(engine_integrate, f, spec) == outcome(reference_integrate, f, spec)
+        f, spec = rec.make_integrand(points[0]), rec.make_spec(points[0])
+        assert block_triples(engine_level_sum(f, spec)) == block_triples(reference_level_sum(f, spec))
+
+    @pytest.mark.parametrize("entry_id", ["3.192.3", "3.192.4"])
+    def test_catalog_sweep_reaches_max_level(self, entry_id):
+        # sample 3 at the edge margin uses every level (finite, half-line)
+        rec = catalog.entry(entry_id)
+        edge = dataclasses.replace(rec, domain=dataclasses.replace(rec.domain, margin=0.01))
+        params = catalog.sample_params(edge, 7, 3)
+        res = engine_integrate(rec.make_integrand(params), rec.make_spec(params))
+        assert len(res.level_errors) == quad.MAX_LEVEL
+
+
+# engine, spec, transform, reference coordinate of side a / side b, smooth base
+_ENGINES = {
+    "finite": (IntegralSpec.finite(0.0, 1.0), "tanh_sinh",
+               lambda x, dlo, dhi: (dhi, dlo), lambda x: np.ones_like(x)),
+    "half_line": (IntegralSpec.half_line_up(0.0), "exp_sinh",
+                  lambda x, dlo, dhi: (dlo, dlo), lambda x: np.exp(-x)),
+    "real_line": (None, "sinh_sinh",
+                  lambda x, dlo, dhi: (x, x), lambda x: np.exp(-x * x)),
+}
+
+
+def _level_nodes(transform, level):
+    """Reference nodes of side a and side b of one level."""
+    (a, _), (b, _) = quad._TRANSFORMS[transform][0](quad._level_t(level))
+    return a, b
+
+
+class TestNonFiniteDetection:
+    """A non-finite value anywhere in a block raises, even where the weighted
+    level sums could hide it; finite values whose sum overflows do not."""
+
+    @staticmethod
+    def marked(engine, marks):
+        """The engine's smooth base integrand with values replaced at the
+        nodes given as (side, reference node, value)."""
+        spec, transform, coords, base = _ENGINES[engine]
+
+        def f(x, dlo, dhi):
+            out = base(x)
+            for side, node, value in marks:
+                out = np.where(coords(x, dlo, dhi)[side] == node, value, out)
+            return out
+
+        return f, spec
+
+    @pytest.mark.parametrize("engine", list(_ENGINES))
+    def test_nan_at_centre_only(self, engine):
+        centre = quad._TRANSFORMS[_ENGINES[engine][1]][1]
+        f, spec = self.marked(engine, [(1, centre, math.nan)])
+        with pytest.raises(quad.EvaluationError, match="non-finite"):
+            engine_integrate(f, spec)
+
+    @pytest.mark.parametrize("engine", list(_ENGINES))
+    def test_opposite_infinities_on_mirrored_nodes(self, engine):
+        a, b = _level_nodes(_ENGINES[engine][1], 2)
+        f, spec = self.marked(engine, [(0, a[0], math.inf), (1, b[0], -math.inf)])
+        with pytest.raises(quad.EvaluationError, match="non-finite"):
+            engine_integrate(f, spec)
+
+    @pytest.mark.parametrize("engine", list(_ENGINES))
+    def test_inf_at_outermost_node_of_level_3(self, engine):
+        a, _ = _level_nodes(_ENGINES[engine][1], 3)
+        f, spec = self.marked(engine, [(0, a[-1], math.inf)])
+        with pytest.raises(quad.EvaluationError, match="non-finite"):
+            engine_integrate(f, spec)
+
+    @pytest.mark.parametrize("engine", list(_ENGINES))
+    def test_overflowing_sum_of_finite_values(self, engine):
+        spec, _, _, base = _ENGINES[engine]
+
+        def f(x, dlo, dhi):
+            return 8e307 * base(x)
+
+        res = engine_integrate(f, spec)
+        assert not math.isfinite(res.value)
+        assert bits(res) == bits(reference_integrate(f, spec))
 
 
 class TestInvariants:
