@@ -6,6 +6,14 @@ matter: ``one_minus_pow`` keeps ``1 - x**q`` alive next to x = 1,
 overflowing, and the ``fold_*`` builders produce analytically folded
 window integrands f(s+u) + f(s-u) for the principal-value entries (the
 naive pairing loses too many digits against the PV tolerances).
+
+Integrand and fold factories take their parameters either as plain
+numbers (one sample) or as (rows x 1) columns (all samples of an entry in
+one batch), and must give each row bit for bit what its lone sample gets.
+Two helpers keep that true: ``per_row`` computes values that depend on
+the parameters alone with the ``math`` functions, row by row, and
+``power`` raises to a parameter exponent.  Elementwise numpy arithmetic
+and ufuncs over (rows x nodes) arrays already agree with the 1-D case.
 """
 
 from __future__ import annotations
@@ -105,6 +113,39 @@ def domain(*params, rels=(), margin=0.05):
 
 SQRT_PI = math.sqrt(math.pi)
 
+# numpy evaluates x ** e for a float e of -1, 0.5 or 2 with these ufuncs,
+# which can differ from pow in the last bit
+_POWER_SHORTCUTS = ((-1.0, np.reciprocal), (0.5, np.sqrt), (2.0, np.square))
+
+
+def power(x, e):
+    """x ** e for a parameter exponent: a number or a (rows x 1) column.
+
+    A column runs ``pow`` on every row, so the rows whose exponent numpy
+    would shortcut are recomputed by that shortcut: each row then equals
+    its own ``x ** float(e)`` bit for bit.
+    """
+    out = x ** e
+    if np.ndim(e):
+        for special, op in _POWER_SHORTCUTS:
+            rows = (e == special).ravel()
+            if rows.any():
+                out[rows] = op(np.broadcast_to(x, out.shape)[rows])
+    return out
+
+
+def per_row(fn, *args):
+    """fn of plain numbers: applied directly to numbers, and row by row to
+    (rows x 1) columns, whose results are stacked into a column.
+
+    numpy's log and exp differ from ``math``'s in the last bit on some
+    inputs, so values that depend on parameters alone go through here.
+    """
+    if not any(np.ndim(a) for a in args):
+        return fn(*args)
+    rows = zip(*(np.ravel(a).tolist() for a in np.broadcast_arrays(*args)))
+    return np.array([fn(*row) for row in rows])[:, None]
+
 
 def cot(t):
     """cot(t) for a scalar t."""
@@ -158,7 +199,7 @@ def fold_power_shifted(a, s):
 
     def fold(u):
         delta = np.log1p(2.0 * u / (s - u))
-        return (s - u) ** (a - 1.0) * np.expm1((a - 1.0) * delta) / u
+        return power(s - u, a - 1.0) * np.expm1((a - 1.0) * delta) / u
 
     return fold
 
@@ -179,7 +220,7 @@ def fold_product_two_pole(mu, s, other):
     """Fold of x^(mu-1)/((a-x)(b-x)) about the pole s; `other` is the
     second root."""
     E = s - other
-    sg = 1.0 if E > 0 else -1.0
+    sg = per_row(lambda e: 1.0 if e > 0 else -1.0, E)
     aE = abs(E)
 
     def fold(u):
@@ -199,7 +240,7 @@ def fold_exp_kernel(mu, c):
         (-c)^(mu-1) * 4 sinh(u/2) sinh((mu-1/2)u) / (expm1(u) (-expm1(-u))),
     which vanishes identically at mu = 1/2 and never cancels.
     """
-    pref = (-c) ** (mu - 1.0)
+    pref = per_row(lambda c, mu: (-c) ** (mu - 1.0), c, mu)
 
     def fold(u):
         num = 4.0 * np.sinh(0.5 * u) * np.sinh((mu - 0.5) * u)

@@ -16,10 +16,17 @@ from .core import (
     integer,
     log_unit,
     one_minus_pow,
+    per_row,
+    power,
     real,
     rel,
     softplus,
 )
+
+
+def _ln(v):
+    """math.log of a parameter, row by row for a column."""
+    return per_row(math.log, v)
 
 
 def _power_denominator(num_exp, power, log_v, log_u, c):
@@ -88,7 +95,7 @@ GROUP_E = [
             ),
         ),
         make_integrand=lambda p: _power_denominator(
-            p["a"] * p["c"], p["a"] + p["b"], math.log(p["v"]), math.log(p["u"]), p["c"]
+            p["a"] * p["c"], p["a"] + p["b"], _ln(p["v"]), _ln(p["u"]), p["c"]
         ),
         make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["a"] * p["c"] - 1.0),
         closed_form=lambda p: sf.beta(p["a"], p["b"])
@@ -143,7 +150,7 @@ GROUP_E = [
             rels=(rel("n > m", lambda q: q["n"] > q["m"]),),
         ),
         make_integrand=lambda p: _power_denominator(
-            p["m"] + 1.0, p["n"] + 0.5, math.log(p["v"]), math.log(p["u"]), 1.0
+            p["m"] + 1.0, p["n"] + 0.5, _ln(p["v"]), _ln(p["u"]), 1.0
         ),
         make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=float(p["m"])),
         closed_form=_closed_3194_7,
@@ -171,7 +178,7 @@ GROUP_E = [
         citation="GR 3.249.1: int_0^inf (v^2+t^2)^-n dt = sqrt(pi) Gamma(n-1/2)/(2 Gamma(n) v^(2n-1))",
         domain=domain(real("n", 0.6, 5.0), real("v", 0.0, 3.0)),
         make_integrand=lambda p: _power_denominator(
-            1.0, p["n"], 2.0 * math.log(p["v"]), 0.0, 2.0
+            1.0, p["n"], 2.0 * _ln(p["v"]), 0.0, 2.0
         ),
         make_spec=lambda p: IntegralSpec.half_line_up(0.0),
         closed_form=lambda p: SQRT_PI
@@ -184,7 +191,7 @@ GROUP_E = [
         citation="general-u form behind GR 3.249.8: int_0^inf (1+u t^2)^(-n/2) dt",
         domain=domain(real("n", 1.2, 6.0), real("u", 0.0, 3.0)),
         make_integrand=lambda p: _power_denominator(
-            1.0, 0.5 * p["n"], 0.0, math.log(p["u"]), 2.0
+            1.0, 0.5 * p["n"], 0.0, _ln(p["u"]), 2.0
         ),
         make_spec=lambda p: IntegralSpec.half_line_up(0.0),
         closed_form=lambda p: SQRT_PI
@@ -223,7 +230,7 @@ GROUP_E = [
             rels=(rel("n > m", lambda q: q["n"] > q["m"]),),
         ),
         make_integrand=lambda p: _power_denominator(
-            2.0 * p["m"] + 1.0, p["n"] + 1.0, math.log(p["v"]), math.log(p["u"]), 2.0
+            2.0 * p["m"] + 1.0, p["n"] + 1.0, _ln(p["v"]), _ln(p["u"]), 2.0
         ),
         make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=2.0 * p["m"]),
         closed_form=_closed_3251_4,
@@ -240,7 +247,7 @@ GROUP_E = [
             rels=(rel("n > m", lambda q: q["n"] > q["m"]),),
         ),
         make_integrand=lambda p: _power_denominator(
-            2.0 * p["m"] + 2.0, p["n"] + 1.0, math.log(p["v"]), math.log(p["u"]), 2.0
+            2.0 * p["m"] + 2.0, p["n"] + 1.0, _ln(p["v"]), _ln(p["u"]), 2.0
         ),
         make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=2.0 * p["m"] + 1.0),
         closed_form=lambda p: math.factorial(p["m"])
@@ -349,7 +356,7 @@ GROUP_E = [
             rels=(rel("c nu - r > 0.2", lambda q: q["c"] * q["nu"] - q["r"] > 0.2),),
         ),
         make_integrand=lambda p: _power_denominator(
-            p["r"], p["nu"], 0.0, math.log(p["u"]), p["c"]
+            p["r"], p["nu"], 0.0, _ln(p["u"]), p["c"]
         ),
         make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["r"] - 1.0),
         closed_form=lambda p: sf.beta(p["r"] / p["c"], p["nu"] - p["r"] / p["c"])
@@ -385,7 +392,7 @@ GROUP_E = [
         citation="GR 3.248.2: int_0^1 t^(2n+1)/sqrt(1-t^2) dt = 2^(2n) n!^2/(2n+1)!",
         domain=domain(integer("n", 0, 6)),
         make_integrand=lambda p: (
-            lambda x, dlo, dhi: dlo ** (2 * p["n"] + 1) / np.sqrt(dhi * (1.0 + x))
+            lambda x, dlo, dhi: power(dlo, 2 * p["n"] + 1) / np.sqrt(dhi * (1.0 + x))
         ),
         make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, 2.0 * p["n"] + 1.0, -0.5),
         closed_form=lambda p: 2.0 ** (2 * p["n"])
@@ -398,7 +405,7 @@ GROUP_E = [
         citation="GR 3.248.3: int_0^1 t^(2n)/sqrt(1-t^2) dt = (pi/2^(2n+1)) C(2n,n)",
         domain=domain(integer("n", 0, 6)),
         make_integrand=lambda p: (
-            lambda x, dlo, dhi: dlo ** (2 * p["n"]) / np.sqrt(dhi * (1.0 + x))
+            lambda x, dlo, dhi: power(dlo, 2 * p["n"]) / np.sqrt(dhi * (1.0 + x))
         ),
         make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, 2.0 * p["n"], -0.5),
         closed_form=lambda p: math.pi

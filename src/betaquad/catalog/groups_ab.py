@@ -9,12 +9,22 @@ import numpy as np
 
 from .. import specfun as sf
 from ..quad import IntegralSpec
-from .core import SQRT_PI, IdentityRecord, domain, integer, log_unit, one_minus_pow, real, rel
+from .core import (
+    SQRT_PI,
+    IdentityRecord,
+    domain,
+    integer,
+    log_unit,
+    one_minus_pow,
+    power,
+    real,
+    rel,
+)
 
 
 def _beta_kernel(a, b):
     def f(x, dlo, dhi):
-        return dlo ** (a - 1.0) * dhi ** (b - 1.0)
+        return power(dlo, a - 1.0) * power(dhi, b - 1.0)
 
     return f
 
@@ -167,7 +177,7 @@ GROUP_B = [
         citation="GR 3.249.5: int_0^1 (1-x^2)^(b-1) dx = B(1/2,b)/2 = 2^(2b-2) B(b,b)",
         domain=domain(real("b", 0.0, 4.0)),
         make_integrand=lambda p: (
-            lambda x, dlo, dhi: (dhi * (1.0 + x)) ** (p["b"] - 1.0)
+            lambda x, dlo, dhi: power(dhi * (1.0 + x), p["b"] - 1.0)
         ),
         make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, 0.0, p["b"] - 1.0),
         closed_form=lambda p: 0.5 * sf.beta(0.5, p["b"]),
@@ -192,7 +202,7 @@ GROUP_B = [
         citation="scaled even form: int_0^c (c^2-t^2)^(b-1) dt = c^(2b-1) B(1/2,b)/2",
         domain=domain(real("b", 0.0, 3.0), real("c", 0.0, 3.0)),
         make_integrand=lambda p: (
-            lambda x, dlo, dhi: (dhi * (p["c"] + x)) ** (p["b"] - 1.0)
+            lambda x, dlo, dhi: power(dhi * (p["c"] + x), p["b"] - 1.0)
         ),
         make_spec=lambda p: IntegralSpec.finite(0.0, p["c"], 0.0, p["b"] - 1.0),
         closed_form=lambda p: 0.5 * p["c"] ** (2.0 * p["b"] - 1.0) * sf.beta(0.5, p["b"]),
@@ -203,7 +213,7 @@ GROUP_B = [
         citation="GR 3.249.2: int_0^c (c^2-t^2)^(n-1/2) dt = pi c^(2n) C(2n,n)/2^(2n+1)",
         domain=domain(real("c", 0.0, 3.0), integer("n", 0, 5)),
         make_integrand=lambda p: (
-            lambda x, dlo, dhi: (dhi * (p["c"] + x)) ** (p["n"] - 0.5)
+            lambda x, dlo, dhi: power(dhi * (p["c"] + x), p["n"] - 0.5)
         ),
         make_spec=lambda p: IntegralSpec.finite(0.0, p["c"], 0.0, p["n"] - 0.5),
         closed_form=lambda p: math.pi

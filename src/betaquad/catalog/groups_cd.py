@@ -18,6 +18,8 @@ from .core import (
     fold_power_shifted,
     fold_product_one_pole,
     fold_product_two_pole,
+    per_row,
+    power,
     real,
     rel,
     softplus,
@@ -36,20 +38,15 @@ def _halfline_beta(a, total):
 def _integrand_exp_pole(mu, c):
     """e^(-mu t)/(e^(-t)+c) with c < 0, stable and sign-aware away from the
     pole at t0 = -ln(-c)."""
-    t0 = -math.log(-c)
-    log_mc = math.log(-c)
+    log_mc = per_row(lambda c: math.log(-c), c)
+    t0 = -log_mc
 
     def f(x, dlo, dhi):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        hi_side = x > t0
-        xp = x[hi_side]
         # e^-x < -c: denominator = c(1 - e^-(x-t0)) < 0
-        out[hi_side] = -np.exp(-mu * xp - log_mc - np.log(-np.expm1(-(xp - t0))))
-        xn = x[~hi_side]
+        above = -np.exp(-mu * x - log_mc - np.log(-np.expm1(-(x - t0))))
         # e^-x > -c: denominator = e^-x (1 - e^(x-t0)) > 0
-        out[~hi_side] = np.exp(-mu * xn - log_mc + (xn - t0) - np.log(-np.expm1(xn - t0)))
-        return out
+        below = np.exp(-mu * x - log_mc + (x - t0) - np.log(-np.expm1(x - t0)))
+        return np.where(x > t0, above, below)
 
     return f
 
@@ -58,14 +55,9 @@ def _integrand_3313_1(p):
     mu = p["mu"]
 
     def f(x, dlo, dhi):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        pos = x > 0
-        xp = x[pos]
-        out[pos] = np.exp(-mu * xp - np.log(-np.expm1(-xp)))
-        xn = x[~pos]
-        out[~pos] = -np.exp((1.0 - mu) * xn - np.log1p(-np.exp(xn)))
-        return out
+        above = np.exp(-mu * x - np.log(-np.expm1(-x)))
+        below = -np.exp((1.0 - mu) * x - np.log1p(-np.exp(x)))
+        return np.where(x > 0, above, below)
 
     return f
 
@@ -137,7 +129,7 @@ GROUP_C = [
         citation="GR 3.222.2: int_0^inf x^(a-1)/(x+c) dx = pi c^(a-1)/sin(pi a), c>0",
         domain=domain(real("a", 0.0, 1.0), real("c", 0.1, 3.0)),
         make_integrand=lambda p: (
-            lambda x, dlo, dhi: dlo ** (p["a"] - 1.0) / (x + p["c"])
+            lambda x, dlo, dhi: power(dlo, p["a"] - 1.0) / (x + p["c"])
         ),
         make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["a"] - 1.0),
         closed_form=lambda p: math.pi * p["c"] ** (p["a"] - 1.0) / math.sin(math.pi * p["a"]),
@@ -148,7 +140,7 @@ GROUP_C = [
         citation="PV form: int_0^inf x^(a-1)/(x+c) dx = -pi cot(pi a)(-c)^(a-1), c<0",
         domain=domain(real("a", 0.0, 1.0), real("c", -3.0, -0.2)),
         make_integrand=lambda p: (
-            lambda x, dlo, dhi: dlo ** (p["a"] - 1.0) / (x + p["c"])
+            lambda x, dlo, dhi: power(dlo, p["a"] - 1.0) / (x + p["c"])
         ),
         make_spec=lambda p: IntegralSpec.half_line_up(
             0.0, alpha_lo=p["a"] - 1.0, poles=(-p["c"],)
@@ -216,7 +208,7 @@ GROUP_C = [
             real("b", 0.0, 3.0),
         ),
         make_integrand=lambda p: (
-            lambda x, dlo, dhi: dlo ** (p["mu"] - 1.0) / ((p["b"] + x) * (p["a"] - x))
+            lambda x, dlo, dhi: power(dlo, p["mu"] - 1.0) / ((p["b"] + x) * (p["a"] - x))
         ),
         make_spec=lambda p: IntegralSpec.half_line_up(
             0.0, alpha_lo=p["mu"] - 1.0, poles=(p["a"],)
@@ -241,7 +233,7 @@ GROUP_C = [
             rels=(rel("|a - b| > 0.25", lambda q: abs(q["a"] - q["b"]) > 0.25),),
         ),
         make_integrand=lambda p: (
-            lambda x, dlo, dhi: dlo ** (p["mu"] - 1.0) / ((p["a"] - x) * (p["b"] - x))
+            lambda x, dlo, dhi: power(dlo, p["mu"] - 1.0) / ((p["a"] - x) * (p["b"] - x))
         ),
         make_spec=lambda p: IntegralSpec.half_line_up(
             0.0, alpha_lo=p["mu"] - 1.0, poles=(p["a"], p["b"])
@@ -249,8 +241,8 @@ GROUP_C = [
         make_folds=lambda p: tuple(
             fold_product_two_pole(p["mu"], s, o)
             for s, o in (
-                (min(p["a"], p["b"]), max(p["a"], p["b"])),
-                (max(p["a"], p["b"]), min(p["a"], p["b"])),
+                (per_row(min, p["a"], p["b"]), per_row(max, p["a"], p["b"])),
+                (per_row(max, p["a"], p["b"]), per_row(min, p["a"], p["b"])),
             )
         ),
         closed_form=lambda p: math.pi
@@ -280,8 +272,8 @@ GROUP_C = [
         citation="GR 3.216.1: int_0^1 (t^(a-1)+t^(b-1))(1+t)^-(a+b) dt = B(a,b)",
         domain=domain(real("a", 0.0, 3.0), real("b", 0.0, 3.0)),
         make_integrand=lambda p: (
-            lambda x, dlo, dhi: (dlo ** (p["a"] - 1.0) + dlo ** (p["b"] - 1.0))
-            * (1.0 + x) ** -(p["a"] + p["b"])
+            lambda x, dlo, dhi: (power(dlo, p["a"] - 1.0) + power(dlo, p["b"] - 1.0))
+            * power(1.0 + x, -(p["a"] + p["b"]))
         ),
         make_spec=lambda p: IntegralSpec.finite(
             0.0, 1.0, min(p["a"], p["b"]) - 1.0, 0.0
@@ -414,7 +406,7 @@ GROUP_C = [
             rels=(rel("b - a > 0.2", lambda q: q["b"] - q["a"] > 0.2),),
         ),
         make_integrand=lambda p: (
-            lambda x, dlo, dhi: dlo ** -p["nu"] / (p["a"] - p["b"] * x)
+            lambda x, dlo, dhi: power(dlo, -p["nu"]) / (p["a"] - p["b"] * x)
         ),
         make_spec=lambda p: IntegralSpec.half_line_up(1.0, alpha_lo=-p["nu"]),
         closed_form=lambda p: -math.pi
@@ -433,7 +425,7 @@ GROUP_C = [
             rels=(rel("a - b > 0.2", lambda q: q["a"] - q["b"] > 0.2),),
         ),
         make_integrand=lambda p: (
-            lambda x, dlo, dhi: dhi ** -p["nu"] / (p["a"] - p["b"] * x)
+            lambda x, dlo, dhi: power(dhi, -p["nu"]) / (p["a"] - p["b"] * x)
         ),
         make_spec=lambda p: IntegralSpec.half_line_down(1.0, alpha_hi=-p["nu"]),
         closed_form=lambda p: math.pi
@@ -456,7 +448,7 @@ GROUP_D = [
             rels=(rel("a - b > 0.25", lambda q: q["a"] - q["b"] > 0.25),),
         ),
         make_integrand=lambda p: (
-            lambda x, dlo, dhi: dlo ** (p["p"] - 1.0) / (x - p["b"])
+            lambda x, dlo, dhi: power(dlo, p["p"] - 1.0) / (x - p["b"])
         ),
         make_spec=lambda p: IntegralSpec.half_line_up(p["a"], alpha_lo=p["p"] - 1.0),
         closed_form=lambda p: math.pi
@@ -474,7 +466,7 @@ GROUP_D = [
             rels=(rel("b - a > 0.25", lambda q: q["b"] - q["a"] > 0.25),),
         ),
         make_integrand=lambda p: (
-            lambda x, dlo, dhi: dhi ** (p["p"] - 1.0) / (x - p["b"])
+            lambda x, dlo, dhi: power(dhi, p["p"] - 1.0) / (x - p["b"])
         ),
         make_spec=lambda p: IntegralSpec.half_line_down(p["a"], alpha_hi=p["p"] - 1.0),
         closed_form=lambda p: -math.pi

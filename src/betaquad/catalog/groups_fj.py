@@ -16,6 +16,8 @@ from .core import (
     domain,
     logcosh,
     neg_log_unit,
+    per_row,
+    power,
     real,
     rel,
     softplus,
@@ -98,7 +100,7 @@ GROUP_F = [
         domain=domain(real("mu", 0.0, 1.0), real("b", 0.0, 3.0)),
         make_integrand=lambda p: (
             lambda x, dlo, dhi: np.exp(
-                -p["mu"] * x - np.logaddexp(math.log(p["b"]), -x)
+                -p["mu"] * x - np.logaddexp(per_row(math.log, p["b"]), -x)
             )
         ),
         make_spec=lambda p: IntegralSpec.real_line(),
@@ -117,7 +119,7 @@ def _integrand_4273(p):
     def f(x, dlo, dhi):
         ln_xu = np.log1p(dlo / u)      # ln(x/u), exact near x = u
         ln_vx = -np.log1p(-dhi / v)    # ln(v/x), exact near x = v
-        return ln_xu ** (pp - 1.0) * ln_vx ** (q - 1.0) / x
+        return power(ln_xu, pp - 1.0) * power(ln_vx, q - 1.0) / x
 
     return f
 
@@ -126,8 +128,8 @@ def _integrand_4275_1(p):
     pp, q = p["p"], p["q"]
 
     def f(x, dlo, dhi):
-        return neg_log_unit(x, dlo, dhi) ** (q - 1.0) - dlo ** (pp - 1.0) * dhi ** (
-            q - 1.0
+        return power(neg_log_unit(x, dlo, dhi), q - 1.0) - power(dlo, pp - 1.0) * power(
+            dhi, q - 1.0
         )
 
     return f
@@ -169,7 +171,7 @@ GROUP_G = [
         citation="log-kernel gamma representation: int_0^1 (-ln x)^(q-1) dx = Gamma(q)",
         domain=domain(real("q", 0.0, 4.0)),
         make_integrand=lambda p: (
-            lambda x, dlo, dhi: neg_log_unit(x, dlo, dhi) ** (p["q"] - 1.0)
+            lambda x, dlo, dhi: power(neg_log_unit(x, dlo, dhi), p["q"] - 1.0)
         ),
         make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, 0.0, p["q"] - 1.0),
         closed_form=lambda p: sf.gamma(p["q"]),

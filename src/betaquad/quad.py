@@ -10,6 +10,11 @@ integrate_pv         Cauchy principal value with 1 or 2 interior simple
                      poles: each pole gets a symmetric window integrated
                      as the folded sum f(s+u) + f(s-u); leftover pieces go
                      to the engines above.
+integrate_rows       many integrals of one integrand family at once, one
+                     row each.  It is the core the engines above run on,
+                     as its one-row case: the node table of a level is the
+                     same for every row, so one integrand call evaluates a
+                     level block for all rows still open.
 oracle_integrate     adaptive 7/15 Gauss-Kronrod after an explicit
                      power-law substitution removing declared endpoint
                      singularities.  Deliberately shares no machinery with
@@ -25,12 +30,16 @@ generated in distance-from-endpoint form, so near-singular factors such as
 exponents close to -1 from losing every significant digit.  Evaluation is
 never requested with a zero distance.
 
-An integrand must be elementwise.  Each engine makes one call for levels
-0..MIN_LEVEL and one per later level, so a single array mixes nodes from
-several levels, from both sides of the domain and the centre node.  No
-reduction over ``x``, and nothing that depends on an element's position
-or on the array's length, is allowed.  The arguments may be read-only
-arrays shared between calls, and an integrand must not modify them.
+An integrand must be elementwise, and it must broadcast.  Each engine
+makes one call for levels 0..MIN_LEVEL and one per later level, so a
+single array mixes nodes from several levels, from both sides of the
+domain and the centre node.  The arguments are (rows x nodes) arrays, or
+one row of nodes shared by all rows; under ``integrate_rows`` the
+integrand's parameters are (rows x 1) columns, and its result must
+broadcast to (rows x nodes).  No reduction over ``x``, and nothing that
+depends on an element's position or on the arrays' shapes, is allowed.
+The arguments may be read-only arrays shared between calls, and an
+integrand must not modify them.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ __all__ = [
     "integrate_real_line",
     "integrate_pv",
     "integrate",
+    "integrate_rows",
     "oracle_integrate",
 ]
 
@@ -229,16 +239,20 @@ class _Block:
 
     These arrays are read-only, since the engines pass them to integrands
     as they are.  ``shared`` says that both sides of a level use one weight
-    table.  ``levels`` has one tuple per level: its evaluation count (level
-    0 counts the centre), the slice and weights of side a and of side b,
-    the call-array index of the outermost node on each side, and the
-    weights of those two nodes as Python floats.
+    table.  Per level, ``counts`` holds the evaluation count (level 0
+    counts the centre) and ``sides`` the slice and weights of side a and of
+    side b.  Column k of ``ends`` holds the call-array indices of the
+    outermost node of each side of level k, and the same column of
+    ``end_w`` their weights.
     """
 
     split: int
     centre: bool
     shared: bool
-    levels: tuple
+    counts: tuple[int, ...]
+    sides: tuple
+    ends: np.ndarray
+    end_w: np.ndarray
     nodes: np.ndarray | None = None
     unit: np.ndarray | None = None
     inf: np.ndarray | None = None
@@ -256,16 +270,18 @@ def _block(transform, first, last):
     tables = [build(_level_t(level)) for level in range(first, last + 1)]
     split = sum(a.size for (a, _), _ in tables)
     centre = first == 0
-    levels = []
+    counts, sides, ends, end_w = [], [], [], []
     ia, ib = 0, split
     # every level keeps its innermost t, so no side of a level is empty
     for (a, wa), (b, wb) in tables:
-        sa, sb = slice(ia, ia + a.size), slice(ib, ib + b.size)
+        sides.append((slice(ia, ia + a.size), wa, slice(ib, ib + b.size), wb))
         ia += a.size
         ib += b.size
-        levels.append([a.size + b.size, sa, wa, sb, wb, ia - 1, ib - 1, float(wa[-1]), float(wb[-1])])
+        counts.append(a.size + b.size)
+        ends.append((ia - 1, ib - 1))
+        end_w.append((wa[-1], wb[-1]))
     if centre:
-        levels[0][0] += 1
+        counts[0] += 1
     nodes = np.concatenate(
         [a for (a, _), _ in tables] + [b for _, (b, _) in tables]
         + ([np.array([centre_node])] if centre else [])
@@ -278,129 +294,273 @@ def _block(transform, first, last):
         ))}
     else:
         arrays = {"nodes": nodes, "inf": np.broadcast_to(math.inf, nodes.shape)}
+    arrays["ends"] = np.array(ends).T.copy()
+    arrays["end_w"] = np.array(end_w).T.copy()
     for a in arrays.values():
         a.setflags(write=False)
     shared = all(wb is wa for (_, wa), (_, wb) in tables)
-    blk = _BLOCKS[key] = _Block(split, centre, shared, tuple(map(tuple, levels)), **arrays)
+    blk = _BLOCKS[key] = _Block(split, centre, shared, tuple(counts), tuple(sides), **arrays)
     return blk
 
 
-def _check_finite(x, fv):
+def _non_finite(x, fv):
+    """The EvaluationError for integrand values ``fv`` at nodes ``x``, or
+    None when every value is finite."""
     bad = ~np.isfinite(fv)
-    if bad.any():
-        where = np.asarray(x)[bad][:3]
-        raise EvaluationError(f"integrand returned non-finite values near x={where}")
+    if not bad.any():
+        return None
+    where = np.asarray(x)[bad][:3]
+    return EvaluationError(f"integrand returned non-finite values near x={where}")
 
 
 def _call(f, x, dlo, dhi):
     with np.errstate(all="ignore"):
         out = np.asarray(f(x, dlo, dhi), dtype=float)
-    _check_finite(x, out)
+    error = _non_finite(x, out)
+    if error is not None:
+        raise error
     return out
 
 
-def _level_sums(blk, x, out, centre_w, scale=1.0):
-    """Per-level [sum, evaluations, edge] triples from one fused evaluation.
+def _level_sums(blk, fv, scale, centre_w):
+    """Per-row, per-level sums of w*f over each level's new nodes, and the
+    magnitude of each level's outermost node contribution.
 
-    Sides that share one weight table (tanh-sinh, sinh-sinh) sum as
-    scale * w . (f_a + f_b); exp-sinh sides have their own weights and sum
-    one dot product each.  The centre node joins level 0 with weight
-    ``centre_w``.  Every weight is positive and finite, so a non-finite
-    integrand value always makes its level sum non-finite: the elementwise
-    scan for the error message runs only then.
+    ``fv`` holds one row of integrand values per integral.  Every level
+    sum is one 1-D ``ndarray.dot`` over a contiguous row slice, so a row
+    sums in the same order whatever rows share its call.  Sides that share
+    one weight table (tanh-sinh, sinh-sinh) sum as scale * w . (f_a + f_b);
+    exp-sinh sides have their own weights and sum one dot product each.
+    The centre node joins level 0 with weight ``centre_w``.  ``scale`` and
+    ``centre_w`` are per-row columns or plain floats.
     """
-    fv = np.asarray(out, dtype=float)
-    at = fv.item
+    ends = np.abs(fv[:, blk.ends])
     if blk.shared:
         m = blk.split
-        g = fv[:m] + fv[m:2 * m]
-        triples = [
-            [float(w.dot(g[a])) * scale, n, scale * w_end * (abs(at(ia)) + abs(at(ib)))]
-            for n, a, w, _, _, ia, ib, w_end, _ in blk.levels
-        ]
+        g = fv[:, :m] + fv[:, m:2 * m]
+        sums = np.array([[w.dot(row[a]) for a, w, _, _ in blk.sides] for row in g])
+        sums *= scale
+        edges = scale * blk.end_w[0] * (ends[:, 0] + ends[:, 1])
     else:
-        triples = [
-            [0.0 + float(wa.dot(fv[a])) + float(wb.dot(fv[b])), n,
-             max(wa_end * abs(at(ia)), wb_end * abs(at(ib)))]
-            for n, a, wa, b, wb, ia, ib, wa_end, wb_end in blk.levels
-        ]
+        sums = np.array([
+            [0.0 + wa.dot(row[a]) + wb.dot(row[b]) for a, wa, b, wb in blk.sides] for row in fv
+        ])
+        edges = np.maximum(blk.end_w[0] * ends[:, 0], blk.end_w[1] * ends[:, 1])
     if blk.centre:
-        triples[0][0] += centre_w * at(-1)
-    if not math.isfinite(sum([t[0] for t in triples])):
-        _check_finite(x, fv)
-    return triples
+        sums[:, :1] += centre_w * fv[:, -1:]
+    return sums, edges
 
 
-def _drive(level_sum, tol, max_level=MAX_LEVEL):
-    """Shared level-doubling driver.
+def _non_finite_rows(results, rows, x, fv, sums):
+    """Record an EvaluationError for each row whose integrand values are
+    not all finite, and return the mask of those rows (None if there are
+    none).
 
-    ``level_sum(first, last)`` evaluates levels first..last in a single
-    integrand call and returns, per level, (sum over that level's new nodes
-    of w*f, evaluation count, magnitude of the outermost node
-    contribution).  Levels 0..MIN_LEVEL are always all needed, so they come
-    as one block; each later level is its own block, so a sequence that
-    converges at level k never evaluates level k+1.  The trapezoid value at
-    step h halves into the next level, so I_k = I_{k-1}/2 + h_k * S_k.
+    Every weight is positive and finite, so a non-finite value always makes
+    its level sum non-finite: the elementwise scan for the error message
+    runs only on such rows.  Finite values whose sum overflows pass.
+    """
+    finite = np.isfinite(sums)
+    if finite.all():
+        return None
+    failed = ~finite.all(axis=1)
+    for j in np.flatnonzero(failed).tolist():
+        error = _non_finite(np.broadcast_to(x, fv.shape)[j], fv[j])
+        if error is None:
+            failed[j] = False
+        else:
+            results[rows[j]] = error
+    return failed
 
-    A level sequence only counts as converged when the outermost kept node
-    contributes negligibly: the node tables stop where weights or
-    distances leave double-precision range, and an integrand that is still
-    alive out there (a divergent tail or a non-integrable endpoint) would
-    otherwise "converge" to a truncation artifact.
+
+def _drive(make_f, layout, tol, nrows):
+    """Level-doubling driver for ``nrows`` integrals that share one node table.
+
+    ``layout`` is (transform, args); ``args(blk, rows)`` gives the call
+    arrays x, dlo, dhi of the open rows and each row's sum scale and centre
+    weight.  ``make_f(rows)`` gives the integrand of the open rows, whose
+    parameters are (rows x 1) columns.  Levels 0..MIN_LEVEL are always all
+    needed, so they come as one call; each later level is one call over
+    the rows still open, so a row that converges at level k never
+    evaluates level k+1.  The trapezoid value at step h halves into the
+    next level, so I_k = I_{k-1}/2 + h_k * S_k, row by row; every decision
+    below is the same elementwise arithmetic for each row as for a lone
+    integral.
+
+    A row only counts as converged when its value is finite and its
+    outermost kept node contributes negligibly: the node tables stop where
+    weights or distances leave double-precision range, and an integrand
+    that is still alive out there (a divergent tail or a non-integrable
+    endpoint) would otherwise "converge" to a truncation artifact.  A
+    non-finite value (finite integrand values whose sum overflows) stops
+    its row as "diverging" with an infinite estimate.
+
+    Returns one QuadratureResult per row, or the EvaluationError of a row
+    whose integrand returned a non-finite value.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-
-    def levels():
-        yield from level_sum(0, min(MIN_LEVEL, max_level))
-        for level in range(MIN_LEVEL + 1, max_level + 1):
-            yield from level_sum(level, level)
-
-    value = prev = None
-    diff = math.inf
+    transform, args = layout
+    results = [None] * nrows
+    # per open row, aligned with ``rows``: the level differences so far, the
+    # last one, and whether it grew at the last level
+    rows = np.arange(nrows)
+    history = np.empty((nrows, MAX_LEVEL))
+    diff = np.full(nrows, math.inf)
+    rising = np.zeros(nrows, dtype=bool)
+    value = edge = prev = None
     evals = 0
-    history = []
-    grew = 0
-    status = "max_level"
-    edge = math.inf
     h = 1.0
+
+    def finish(mask, status, estimate, depth):
+        for j in np.flatnonzero(mask).tolist():
+            levels = tuple(history[j, :depth].tolist())
+            results[rows[j]] = QuadratureResult(
+                float(value[j]), float(estimate[j]), evals, status, levels
+            )
+
+    blocks = [(0, MIN_LEVEL)] + [(k, k) for k in range(MIN_LEVEL + 1, MAX_LEVEL + 1)]
     # every integrand call runs inside this loop, so one errstate covers them all
     with np.errstate(all="ignore"):
-        for level, (s, n, edge) in enumerate(levels()):
-            evals += n
-            h = 0.5 ** level
-            value = h * s if level == 0 else 0.5 * prev + h * s
-            if prev is not None:
-                new_diff = abs(value - prev)
-                history.append(new_diff)
-                limit = tol * max(1.0, abs(value))
-                if level >= MIN_LEVEL and new_diff <= limit:
-                    if h * edge > 10.0 * limit:
-                        return QuadratureResult(
-                            value, max(new_diff, h * edge), evals, "diverging", tuple(history),
-                        )
-                    return QuadratureResult(value, new_diff, evals, "converged", tuple(history))
-                if level >= 4 and new_diff > diff and new_diff > limit:
-                    grew += 1
-                    if grew >= 2:
-                        status = "diverging"
-                        diff = new_diff
-                        break
-                else:
-                    grew = 0
-                diff = new_diff
-            prev = value
-            if evals > MAX_EVALUATIONS:
-                status = "max_evals"
+        for first, last in blocks:
+            if not rows.size:
                 break
-    if status == "max_level" and h * edge > 10.0 * tol * max(1.0, abs(value)):
-        status = "diverging"
-    return QuadratureResult(value, diff, evals, status, tuple(history))
+            blk = _block(transform, first, last)
+            x, dlo, dhi, scale, centre_w = args(blk, rows)
+            fv = np.asarray(make_f(rows)(x, dlo, dhi), dtype=float)
+            shape = (rows.size, np.shape(x)[-1])
+            if fv.shape != shape:
+                fv = np.broadcast_to(fv, shape)
+            sums, edges = _level_sums(blk, fv, scale, centre_w)
+            failed = _non_finite_rows(results, rows, x, fv, sums)
+            if failed is not None:
+                keep = ~failed
+                rows, history, diff, rising, sums, edges = (
+                    a[keep] for a in (rows, history, diff, rising, sums, edges)
+                )
+                prev = None if prev is None else prev[keep]
+            for k, n in enumerate(blk.counts):
+                if not rows.size:
+                    break
+                level = first + k
+                evals += n
+                h = 0.5 ** level
+                edge = edges[:, k]
+                if prev is None:
+                    value = h * sums[:, k]
+                    stop = blown = ~np.isfinite(value)
+                else:
+                    value = 0.5 * prev + h * sums[:, k]
+                    stop = blown = ~np.isfinite(value)
+                    new_diff = np.abs(value - prev)
+                    history[:, level - 1] = new_diff
+                    if level >= MIN_LEVEL:
+                        limit = tol * np.maximum(1.0, np.abs(value))
+                        met = new_diff <= limit
+                        stop = stop | met
+                        if level >= 4:
+                            # two levels in a row whose difference grew past the limit
+                            up = (new_diff > diff) & (new_diff > limit)
+                            spiral = up & rising
+                            rising = up
+                            stop = stop | spiral
+                    diff = new_diff
+                if evals > MAX_EVALUATIONS or stop.any():
+                    # close rows in the order a lone integral tests them
+                    done = blown
+                    if done.any():
+                        finish(done, "diverging", np.full_like(value, math.inf), max(level - 1, 0))
+                    if level >= MIN_LEVEL:
+                        met &= ~done
+                        wild = met & (h * edge > 10.0 * limit)
+                        finish(wild, "diverging", np.maximum(diff, h * edge), level)
+                        finish(met & ~wild, "converged", diff, level)
+                        done = done | met
+                    if level >= 4:
+                        spiral &= ~done
+                        finish(spiral, "diverging", diff, level)
+                        done = done | spiral
+                    if evals > MAX_EVALUATIONS:
+                        finish(~done, "max_evals", diff, level)
+                        done = np.ones_like(done)
+                    keep = ~done
+                    rows, history, value, edge, diff, rising, sums, edges = (
+                        a[keep] for a in (rows, history, value, edge, diff, rising, sums, edges)
+                    )
+                prev = value
+    if rows.size:
+        wild = h * edge > 10.0 * tol * np.maximum(1.0, np.abs(value))
+        finish(wild, "diverging", diff, MAX_LEVEL)
+        finish(~wild, "max_level", diff, MAX_LEVEL)
+    return results
+
+
+def _layout(specs):
+    """(transform, args) for rows of one pole-free domain kind; see ``_drive``."""
+    kind = specs[0].kind
+    if kind == "real_line":
+        return "sinh_sinh", lambda blk, rows: (blk.nodes, blk.inf, blk.inf, 1.0, 0.5 * math.pi)
+    if kind == "finite":
+        lo = np.array([[s.lo] for s in specs], dtype=float)
+        hi = np.array([[s.hi] for s in specs], dtype=float)
+        width = hi - lo
+
+        def finite_args(blk, rows):
+            # side a crowds the upper end, side b (and the midpoint) the lower
+            L = width[rows]
+            dlo = L * blk.unit[0]
+            dhi = L * blk.unit[1]
+            x = lo[rows] + dlo
+            np.subtract(hi[rows], dhi[:, :blk.split], out=x[:, :blk.split])
+            return x, dlo, dhi, L, (math.pi / 4.0) * L
+
+        return "tanh_sinh", finite_args
+    up = kind == "half_line_up"
+    anchor = np.array([[s.lo if up else s.hi] for s in specs], dtype=float)
+
+    def half_line_args(blk, rows):
+        d = blk.nodes
+        if up:
+            return anchor[rows] + d, d, blk.inf, 1.0, 0.5 * math.pi
+        return anchor[rows] - d, blk.inf, d, 1.0, 0.5 * math.pi
+
+    return "exp_sinh", half_line_args
+
+
+def _one(results):
+    """The result of a one-row run, raising the error that row hit."""
+    (res,) = results
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 # --------------------------------------------------------------------------
 # public engines
 # --------------------------------------------------------------------------
+
+def integrate_rows(make_f, specs, tol: float = DEFAULT_TOL, make_folds=None) -> list:
+    """Integrate many rows of one integrand family at once.
+
+    ``specs`` has one IntegralSpec per row; all share one domain kind and
+    pole count.  ``make_f(rows)`` returns the integrand of the rows indexed
+    by the integer array ``rows``, with each parameter a (len(rows) x 1)
+    column; ``make_folds(rows)``, when given, returns their PV window folds
+    the same way.  Each call evaluates one level block for every open row,
+    and every row gets exactly the result the per-row engines give it.
+
+    Returns one QuadratureResult per row, or the QuadratureError that row
+    raised.  An exception raised by an integrand itself propagates.
+    """
+    if not specs:
+        return []
+    kind, poles = specs[0].kind, len(specs[0].poles)
+    if any(s.kind != kind or len(s.poles) != poles for s in specs):
+        raise ValueError("rows must share one domain kind and pole count")
+    if poles:
+        return _pv_rows(make_f, specs, tol, make_folds)
+    return _drive(make_f, _layout(specs), tol, len(specs))
+
 
 def integrate_finite(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """tanh-sinh on a finite interval with optional endpoint singularities."""
@@ -408,18 +568,7 @@ def integrate_finite(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> Quadrat
         raise ValueError("integrate_finite requires a finite-domain spec")
     if spec.poles:
         raise ValueError("interior poles require integrate_pv")
-    lo, hi = spec.lo, spec.hi
-    L = hi - lo
-
-    def level_sum(first, last):
-        # side a crowds the upper end, side b (and the midpoint) the lower
-        blk = _block("tanh_sinh", first, last)
-        dlo, dhi = L * blk.unit
-        x = lo + dlo
-        np.subtract(hi, dhi[:blk.split], out=x[:blk.split])
-        return _level_sums(blk, x, f(x, dlo, dhi), (math.pi / 4.0) * L, L)
-
-    return _drive(level_sum, tol)
+    return _one(_drive(lambda rows: f, _layout([spec]), tol, 1))
 
 
 def integrate_half_line(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -428,32 +577,12 @@ def integrate_half_line(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> Quad
         raise ValueError("integrate_half_line requires a half-line spec")
     if spec.poles:
         raise ValueError("interior poles require integrate_pv")
-    up = spec.kind == "half_line_up"
-    anchor = spec.lo if up else spec.hi
-
-    def level_sum(first, last):
-        blk = _block("exp_sinh", first, last)
-        d = blk.nodes
-        if up:
-            x = anchor + d
-            out = f(x, d, blk.inf)
-        else:
-            x = anchor - d
-            out = f(x, blk.inf, d)
-        return _level_sums(blk, x, out, 0.5 * math.pi)
-
-    return _drive(level_sum, tol)
+    return _one(_drive(lambda rows: f, _layout([spec]), tol, 1))
 
 
 def integrate_real_line(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """sinh-sinh over the whole real line (exponentially decaying integrands)."""
-
-    def level_sum(first, last):
-        blk = _block("sinh_sinh", first, last)
-        x = blk.nodes
-        return _level_sums(blk, x, f(x, blk.inf, blk.inf), 0.5 * math.pi)
-
-    return _drive(level_sum, tol)
+    return _one(_drive(lambda rows: f, _layout([IntegralSpec.real_line()]), tol, 1))
 
 
 def _distances(x, lo, hi):
@@ -467,10 +596,11 @@ def _naive_fold(f, s, lo, hi):
     analytic fold.  Reconstructing the pole offset from s+u costs ~eps*s/u
     of cancellation noise, so evaluation is clamped at a modest depth; the
     catalog supplies exact folds where the principal-value tolerances are
-    tight."""
+    tight.  ``s``, ``lo`` and ``hi`` are floats or per-row columns."""
+    floor = 1e-7 * np.maximum(np.abs(s), 1.0)
 
     def fold(u):
-        uc = np.maximum(u, 1e-7 * max(abs(s), 1.0))
+        uc = np.maximum(u, floor)
         out = 0.0
         for x in (s + uc, s - uc):
             out = out + _call(f, x, *_distances(x, lo, hi))
@@ -479,13 +609,12 @@ def _naive_fold(f, s, lo, hi):
     return fold
 
 
-def _rebased(f, lo, hi, sub_lo, sub_hi):
+def _rebased(f, lo, hi, keep_lo, keep_hi):
     """Wrap f so sub-interval integration still reports distances measured
     from the original domain endpoints.  Where a sub-endpoint coincides
-    with an original endpoint the engine-supplied exact distance is kept;
-    elsewhere the integrand is smooth and a direct difference is fine."""
-    keep_lo = sub_lo == lo
-    keep_hi = sub_hi == hi
+    with an original endpoint (``keep_lo``/``keep_hi``) the engine-supplied
+    exact distance is kept; elsewhere the integrand is smooth and a direct
+    difference is fine."""
 
     def g(x, dlo, dhi):
         far_lo, far_hi = _distances(x, lo, hi)
@@ -494,28 +623,10 @@ def _rebased(f, lo, hi, sub_lo, sub_hi):
     return g
 
 
-def integrate_pv(f, spec: IntegralSpec, tol: float = DEFAULT_TOL, folds=None) -> QuadratureResult:
-    """Cauchy principal value across 1 or 2 interior simple poles.
-
-    Around each pole s a symmetric window (s-h, s+h) is integrated as
-    int_0^h [f(s+u) + f(s-u)] du, where h is half the distance to the
-    nearest other singularity or finite endpoint (1.0 against an infinite
-    endpoint).  ``folds``, when given, maps each pole (in ascending order)
-    to an exact folded integrand u -> f(s+u)+f(s-u); exact folds avoid the
-    cancellation floor of the default pairing.  Remaining sub-intervals are
-    delegated to the plain engines; estimates and evaluation counts add up.
-    """
-    if not spec.poles:
-        raise ValueError("integrate_pv requires at least one declared pole")
-    if len(spec.poles) > 2:
-        raise ValueError("at most two interior poles are supported")
-    poles = list(spec.poles)
-    if folds is not None and len(folds) != len(poles):
-        raise ValueError("folds must align with spec.poles")
-
-    lo = spec.lo if spec.lo is not None else -math.inf
-    hi = spec.hi if spec.hi is not None else math.inf
-
+def _windows(poles, lo, hi):
+    """Half-width of the symmetric window around each pole: half the
+    distance to the nearest other singularity or finite endpoint (1.0
+    against an infinite endpoint)."""
     windows = []
     for i, s in enumerate(poles):
         gaps = []
@@ -530,51 +641,125 @@ def integrate_pv(f, spec: IntegralSpec, tol: float = DEFAULT_TOL, folds=None) ->
         if not h > 0.0:
             raise PoleWindowError(f"no symmetric window fits around pole {s!r}")
         windows.append(h)
+    return windows
 
-    piece_tol = tol / (2.0 * len(poles) + 1.0)
-    total = 0.0
-    err = 0.0
-    evals = 0
-    status = "converged"
 
-    def absorb(res):
-        nonlocal total, err, evals, status
-        total += res.value
-        err += res.error_estimate
-        evals += res.evaluations
-        if not res.converged:
-            status = res.status
+def integrate_pv(f, spec: IntegralSpec, tol: float = DEFAULT_TOL, folds=None) -> QuadratureResult:
+    """Cauchy principal value across 1 or 2 interior simple poles.
+
+    Around each pole s a symmetric window (s-h, s+h) is integrated as
+    int_0^h [f(s+u) + f(s-u)] du, where h is half the distance to the
+    nearest other singularity or finite endpoint (1.0 against an infinite
+    endpoint).  ``folds``, when given, maps each pole (in ascending order)
+    to an exact folded integrand u -> f(s+u)+f(s-u); exact folds avoid the
+    cancellation floor of the default pairing.  Remaining sub-intervals go
+    to the plain engines; estimates and evaluation counts add up.
+    """
+    if not spec.poles:
+        raise ValueError("integrate_pv requires at least one declared pole")
+    if folds is not None and len(folds) != len(spec.poles):
+        raise ValueError("folds must align with spec.poles")
+    make_folds = None if folds is None else (lambda rows: folds)
+    return _one(_pv_rows(lambda rows: f, [spec], tol, make_folds))
+
+
+def _pv_rows(make_f, specs, tol, make_folds):
+    """``integrate_pv`` for many rows with the same pole count.  Each pole's
+    windows run as one batch of finite integrals over the offset u, and
+    each leftover piece as one batch over the rows where it exists."""
+    npoles = len(specs[0].poles)
+    if npoles > 2:
+        raise ValueError("at most two interior poles are supported")
+    nrows = len(specs)
+    results = [None] * nrows
+    pieces = [[] for _ in specs]
+    ends = [
+        (-math.inf if s.lo is None else s.lo, math.inf if s.hi is None else s.hi)
+        for s in specs
+    ]
+    widths = []
+    for r, spec in enumerate(specs):
+        try:
+            widths.append(_windows(spec.poles, *ends[r]))
+        except PoleWindowError as exc:
+            results[r] = exc
+            widths.append([math.nan] * npoles)
+    lo, hi = (np.array(col, dtype=float)[:, None] for col in zip(*ends))
+    pole = np.array([spec.poles for spec in specs], dtype=float)
+    width = np.array(widths, dtype=float)
+    piece_tol = tol / (2.0 * npoles + 1.0)
+
+    def absorb(members, make_piece):
+        """Integrate one piece over its (row, spec) members still alive."""
+        members = [(r, sub) for r, sub in members if results[r] is None]
+        if not members:
+            return
+        ids = np.array([r for r, _ in members])
+        found = _drive(
+            lambda rows: make_piece(ids[rows]), _layout([sub for _, sub in members]),
+            piece_tol, len(ids),
+        )
+        for r, res in zip(ids.tolist(), found):
+            if isinstance(res, Exception):
+                results[r] = res
+            else:
+                pieces[r].append(res)
 
     # pole windows, integrated in the offset variable u on (0, h)
-    for i, (s, h) in enumerate(zip(poles, windows)):
-        fold = folds[i] if folds is not None else _naive_fold(f, s, lo, hi)
+    for i in range(npoles):
+        def window(rows, i=i):
+            if make_folds is not None:
+                fold = make_folds(rows)[i]
+            else:
+                fold = _naive_fold(make_f(rows), pole[rows, i:i + 1], lo[rows], hi[rows])
+            clamp = _FOLD_CLAMP * width[rows, i:i + 1]
+            return lambda x, dlo, dhi: fold(np.maximum(dlo, clamp))
 
-        def folded(x, dlo, dhi, _fold=fold, _h=h):
-            return _fold(np.maximum(dlo, _FOLD_CLAMP * _h))
+        alive = [r for r in range(nrows) if results[r] is None]
+        absorb([(r, IntegralSpec.finite(0.0, widths[r][i])) for r in alive], window)
 
-        absorb(integrate_finite(folded, IntegralSpec.finite(0.0, h), piece_tol))
-
-    # leftover sub-intervals between [lo, hi] minus the windows
-    cuts = [lo]
-    for s, h in zip(poles, windows):
-        cuts.extend((s - h, s + h))
-    cuts.append(hi)
-    for k in range(0, len(cuts), 2):
-        a, b = cuts[k], cuts[k + 1]
-        if b <= a + 1e-14 * max(1.0, abs(a)):
+    # leftover sub-intervals between [lo, hi] minus the windows, grouped by
+    # position and shape so that each group is one batch
+    groups = {}
+    for r, spec in enumerate(specs):
+        if results[r] is not None:
             continue
-        # every piece touches a window, so at most one of its ends is infinite
-        kind = "half_line_down" if math.isinf(a) else "half_line_up" if math.isinf(b) else "finite"
-        sub = IntegralSpec(
-            kind,
-            a if math.isfinite(a) else None,
-            b if math.isfinite(b) else None,
-            spec.alpha_lo if a == lo else 0.0,
-            spec.alpha_hi if b == hi else 0.0,
-        )
-        absorb(integrate(_rebased(f, lo, hi, a, b), sub, piece_tol))
+        a_lo, b_hi = ends[r]
+        cuts = [a_lo]
+        for s, h in zip(spec.poles, widths[r]):
+            cuts.extend((s - h, s + h))
+        cuts.append(b_hi)
+        for k in range(0, len(cuts), 2):
+            a, b = cuts[k], cuts[k + 1]
+            if b <= a + 1e-14 * max(1.0, abs(a)):
+                continue
+            # every piece touches a window, so at most one of its ends is infinite
+            kind = "half_line_down" if math.isinf(a) else "half_line_up" if math.isinf(b) else "finite"
+            sub = IntegralSpec(
+                kind,
+                a if math.isfinite(a) else None,
+                b if math.isfinite(b) else None,
+                spec.alpha_lo if a == a_lo else 0.0,
+                spec.alpha_hi if b == b_hi else 0.0,
+            )
+            groups.setdefault((k, kind, a == a_lo, b == b_hi), []).append((r, sub))
+    for (_, _, keep_lo, keep_hi), members in sorted(groups.items()):
+        absorb(members, lambda rows, kl=keep_lo, kh=keep_hi: _rebased(
+            make_f(rows), lo[rows], hi[rows], kl, kh))
 
-    return QuadratureResult(total, err, evals, status)
+    for r, found in enumerate(pieces):
+        if results[r] is None:
+            total = err = 0.0
+            evals = 0
+            status = "converged"
+            for res in found:
+                total += res.value
+                err += res.error_estimate
+                evals += res.evaluations
+                if not res.converged:
+                    status = res.status
+            results[r] = QuadratureResult(total, err, evals, status)
+    return results
 
 
 def integrate(f, spec: IntegralSpec, tol: float = DEFAULT_TOL, folds=None) -> QuadratureResult:

@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import catalog, quad, specfun as sf
 
@@ -108,27 +109,85 @@ class ConsistencyReport:
 
 def verify_entry(rec, cfg: RunConfig) -> list[VerificationOutcome]:
     """Run cfg.samples_per_entry deterministic comparisons for one entry."""
-    return [_verify_sample(rec, index, cfg) for index in range(cfg.samples_per_entry)]
+    return _verify_rows(rec, cfg)
 
 
-def _verify_sample(rec, index, cfg):
+# what a sample may raise on its way to a number; it becomes a sample_error
+_SAMPLE_ERRORS = (catalog.DomainTooTightError, ValueError, OverflowError, quad.QuadratureError)
+
+
+def _verify_rows(rec, cfg):
+    """All samples of one entry.  Parameters, closed forms and specs are
+    drawn per sample; the integrals of all samples with the same domain
+    shape then run as one batch.  A sample the batch cannot settle (its
+    values were non-finite, or the batch as a whole raised) is integrated
+    again on its own.  Each outcome's elapsed time is an even share of the
+    entry's."""
     start = time.perf_counter()
-    params = {}
+    drawn = []
+    for index in range(cfg.samples_per_entry):
+        params = {}
+        try:
+            params = catalog.sample_params(rec, cfg.seed, index)
+            closed = catalog.closed_form_value(rec, params)
+            spec = rec.make_spec(params)
+        except _SAMPLE_ERRORS:
+            drawn.append((index, params, math.nan, None))
+            continue
+        drawn.append((index, params, closed, spec))
+    results = [None] * len(drawn)
+    groups = {}
+    for row in drawn:
+        if row[3] is not None:
+            groups.setdefault((row[3].kind, len(row[3].poles)), []).append(row)
+    for group in groups.values():
+        try:
+            found = _batch(rec, [row[1] for row in group], [row[3] for row in group])
+        except _SAMPLE_ERRORS:
+            found = [None] * len(group)
+        for (index, params, _, spec), result in zip(group, found):
+            if not isinstance(result, quad.QuadratureResult):
+                result = _integrate_one(rec, params, spec)
+            results[index] = result
+    elapsed = 1e3 * (time.perf_counter() - start) / len(drawn)
+    return [
+        _outcome(rec, index, params, closed, result, cfg, elapsed)
+        for (index, params, closed, _), result in zip(drawn, results)
+    ]
+
+
+def _batch(rec, params, specs):
+    """``quad.integrate_rows`` over samples of one entry: each row's result,
+    or the QuadratureError it raised.  The integrand and fold factories get
+    the parameters as (rows x 1) columns."""
+    columns = {name: np.array([p[name] for p in params])[:, None] for name in params[0]}
+
+    def take(rows):
+        return {name: col[rows] for name, col in columns.items()}
+
+    make_folds = None if rec.make_folds is None else (lambda rows: rec.make_folds(take(rows)))
+    return quad.integrate_rows(
+        lambda rows: rec.make_integrand(take(rows)), specs, ENGINE_REQUEST_TOL, make_folds,
+    )
+
+
+def _integrate_one(rec, params, spec):
+    """One sample on its own, with plain float parameters; None when it
+    raises what a sample may raise."""
     try:
-        params = catalog.sample_params(rec, cfg.seed, index)
-        closed = catalog.closed_form_value(rec, params)
         f = rec.make_integrand(params)
-        spec = rec.make_spec(params)
         folds = rec.make_folds(params) if rec.make_folds is not None else None
-        result = quad.integrate(f, spec, ENGINE_REQUEST_TOL, folds=folds)
-    except (catalog.DomainTooTightError, ValueError, OverflowError, quad.QuadratureError):
-        elapsed = 1e3 * (time.perf_counter() - start)
+        return quad.integrate(f, spec, ENGINE_REQUEST_TOL, folds=folds)
+    except _SAMPLE_ERRORS:
+        return None
+
+
+def _outcome(rec, index, params, closed, result, cfg, elapsed):
+    if result is None:
         return VerificationOutcome(
             rec.id, index, params, math.nan, math.nan,
             math.nan, math.nan, 0, "sample_error", elapsed,
         )
-    elapsed = 1e3 * (time.perf_counter() - start)
-
     numeric = result.value
     rtol = cfg.rtol_override if cfg.rtol_override is not None else rec.rtol
     atol = max(cfg.atol, rec.zero_atol or 0.0)
@@ -159,21 +218,19 @@ def verify_all(cfg: RunConfig) -> VerificationReport:
     """Verify the (filtered) roster; deterministic for a fixed config."""
     start = time.perf_counter()
     entries = _selected_entries(cfg)
-    tasks = [
-        (rec, index)
-        for rec in entries
-        for index in range(cfg.samples_per_entry)
-    ]
 
-    def run_task(task):
-        return _verify_sample(*task, cfg)
+    def run_entry(rec):
+        return _verify_rows(rec, cfg)
 
-    # tasks are in (sorted id, index) order and map keeps it: no sort needed
+    # entries are in sorted-id order, each in index order, and map keeps it
     if cfg.parallelism > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            results = list(pool.map(run_task, tasks))
+            per_entry = list(pool.map(run_entry, entries))
     else:
-        results = list(map(run_task, tasks))
+        per_entry = list(map(run_entry, entries))
+    results = [o for outcomes in per_entry for o in outcomes]
 
     passes = sum(1 for o in results if o.status == "pass")
     failures = len(results) - passes
@@ -262,6 +319,7 @@ def _check_fake_parameter(cfg, entry_id, fake_name):
     worst_pair = 0.0
     worst_closed = 0.0
     ok = True
+    draws, alts = [], []
     for index in range(cfg.samples_per_entry):
         params = catalog.sample_params(rec, cfg.seed, index)
         alt = catalog.sample_params(rec, cfg.seed, index + 10_000)
@@ -271,9 +329,14 @@ def _check_fake_parameter(cfg, entry_id, fake_name):
             offset += 1
         alt = dict(alt)
         alt["p"] = params["p"]
+        draws.append(params)
+        alts.append(alt)
+    found = [_batch(rec, ps, [rec.make_spec(p) for p in ps]) for ps in (draws, alts)]
+    for params, r1, r2 in zip(draws, *found):
+        for res in (r1, r2):
+            if isinstance(res, Exception):
+                raise res
         closed = catalog.closed_form_value(rec, params)
-        r1 = quad.integrate(rec.make_integrand(params), rec.make_spec(params), ENGINE_REQUEST_TOL)
-        r2 = quad.integrate(rec.make_integrand(alt), rec.make_spec(alt), ENGINE_REQUEST_TOL)
         pair = abs(r1.value - r2.value)
         rel = abs(r1.value - closed) / max(abs(closed), REL_ERR_FLOOR)
         worst_pair = max(worst_pair, pair)

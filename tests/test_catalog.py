@@ -239,6 +239,48 @@ class TestIntegrandsReadOnly:
         assert math.isfinite(res.value)
 
 
+def block_tables():
+    """Every node table the engines hand to integrands: tanh-sinh unit
+    distances and exp-sinh/sinh-sinh nodes, for every level block."""
+    blocks = [(0, quad.MIN_LEVEL)] + [(k, k) for k in range(quad.MIN_LEVEL + 1, quad.MAX_LEVEL + 1)]
+    for transform in quad._TRANSFORMS:
+        for first, last in blocks:
+            blk = quad._block(transform, first, last)
+            yield from (blk.unit if blk.unit is not None else [blk.nodes])
+
+
+class TestParameterColumns:
+    EXPONENTS = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 1.7)
+
+    @staticmethod
+    def same(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_power_matches_scalar_power_on_every_block_table(self):
+        floats = np.array(self.EXPONENTS)[:, None]
+        ints = np.array([[-1], [0], [1], [2], [3]])
+        with np.errstate(all="ignore"):
+            for x in block_tables():
+                for column, cast in ((floats, float), (ints, int)):
+                    rows = np.repeat(x[None, :], len(column), axis=0)
+                    for got in (core.power(x, column), core.power(rows, column)):
+                        for row, e in zip(got, column[:, 0]):
+                            assert self.same(row, x ** cast(e)), (cast(e), x.size)
+                for e in self.EXPONENTS:
+                    assert self.same(core.power(x, e), x ** e)
+
+    def test_per_row_uses_math_on_each_row(self):
+        # np.log of these differs from math.log in the last bit on some builds
+        logs = [1.986382769874722, 0.8362414700448829, 0.9786934287626932]
+        got = core.per_row(math.log, np.array(logs)[:, None])
+        assert got[:, 0].tolist() == [math.log(v) for v in logs]
+        assert core.per_row(math.log, 2.0) == math.log(2.0)
+        v = np.array([[0.3], [1.7], [2.9]])
+        got = core.per_row(lambda c, mu: (-c) ** (mu - 1.0), -v, 0.25)
+        assert got.shape == (3, 1)
+        assert got[:, 0].tolist() == [c ** (0.25 - 1.0) for c in (0.3, 1.7, 2.9)]
+
+
 class TestEndpointAudit:
     def test_declared_exponents_match_measured(self):
         for rec in catalog.all_entries():

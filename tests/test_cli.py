@@ -127,10 +127,10 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert json.loads(proc.stdout.strip().split("\n")[-1])["verdict"] == "pass"
 
-    def test_module_invocation(self):
+    def test_module_invocation(self, package_env):
         proc = subprocess.run(
             [sys.executable, "-m", "betaquad.cli", "list"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=package_env,
         )
         assert proc.returncode == 0
         assert len(proc.stdout.strip().split("\n")) == catalog.EXPECTED_ENTRY_COUNT

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betaquad import catalog, quad
+from betaquad import catalog, quad, verify
 from betaquad.quad import IntegralSpec
 
 SQRT_PI = math.sqrt(math.pi)
@@ -364,26 +364,79 @@ class TestCallCounts:
         assert res.evaluations == nodes
 
     @pytest.mark.parametrize("engine, f, spec, level", CASES)
-    def test_fused_block_matches_level_by_level(self, engine, f, spec, level, monkeypatch):
+    def test_fused_block_matches_level_by_level(self, engine, f, spec, level):
+        # the engine's own block evaluation, asked for one level per call
         args = (f, TOL) if spec is None else (f, spec, TOL)
-        fused = engine(*args)
-        drive = quad._drive
+        level_sum = engine_level_sum(f, spec)
 
-        def level_by_level(level_sum, tol, max_level=quad.MAX_LEVEL):
-            def split(first, last):
-                return [t for k in range(first, last + 1) for t in level_sum(k, k)]
+        def split(first, last):
+            return [t for k in range(first, last + 1) for t in level_sum(k, k)]
 
-            return drive(split, tol, max_level)
-
-        monkeypatch.setattr(quad, "_drive", level_by_level)
-        assert engine(*args) == fused
+        assert engine(*args) == reference_drive(split)
 
 
 # --------------------------------------------------------------------------
-# reference evaluation: per-level tables concatenated afresh for every call,
-# one np.dot per level (per side where the sides have their own weights) and
-# edges taken per level.  The engines must match it bit for bit.
+# reference evaluation: the scalar level-doubling loop, one integral at a
+# time, fed per-level tables concatenated afresh for every call, one np.dot
+# per level (per side where the sides have their own weights) and edges
+# taken per level.  The engines must match it bit for bit.
 # --------------------------------------------------------------------------
+
+def reference_drive(level_sum, tol=TOL, max_level=quad.MAX_LEVEL):
+    """One integral's level loop: ``level_sum(first, last)`` returns a
+    (sum, count, edge) triple per level of the block."""
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+
+    def levels():
+        yield from level_sum(0, min(quad.MIN_LEVEL, max_level))
+        for level in range(quad.MIN_LEVEL + 1, max_level + 1):
+            yield from level_sum(level, level)
+
+    value = prev = None
+    diff = math.inf
+    evals = 0
+    history = []
+    grew = 0
+    status = "max_level"
+    edge = math.inf
+    h = 1.0
+    with np.errstate(all="ignore"):
+        for level, (s, n, edge) in enumerate(levels()):
+            evals += n
+            h = 0.5 ** level
+            value = h * s if level == 0 else 0.5 * prev + h * s
+            if not math.isfinite(value):
+                status = "diverging"
+                diff = math.inf
+                break
+            if prev is not None:
+                new_diff = abs(value - prev)
+                history.append(new_diff)
+                limit = tol * max(1.0, abs(value))
+                if level >= quad.MIN_LEVEL and new_diff <= limit:
+                    if h * edge > 10.0 * limit:
+                        return quad.QuadratureResult(
+                            value, max(new_diff, h * edge), evals, "diverging", tuple(history),
+                        )
+                    return quad.QuadratureResult(value, new_diff, evals, "converged", tuple(history))
+                if level >= 4 and new_diff > diff and new_diff > limit:
+                    grew += 1
+                    if grew >= 2:
+                        status = "diverging"
+                        diff = new_diff
+                        break
+                else:
+                    grew = 0
+                diff = new_diff
+            prev = value
+            if evals > quad.MAX_EVALUATIONS:
+                status = "max_evals"
+                break
+    if status == "max_level" and h * edge > 10.0 * tol * max(1.0, abs(value)):
+        status = "diverging"
+    return quad.QuadratureResult(value, diff, evals, status, tuple(history))
+
 
 def _ref_call(f, x, dlo, dhi):
     with np.errstate(all="ignore"):
@@ -462,7 +515,7 @@ def reference_level_sum(f, spec):
 
 
 def reference_integrate(f, spec, tol=TOL):
-    return quad._drive(reference_level_sum(f, spec), tol)
+    return reference_drive(reference_level_sum(f, spec), tol)
 
 
 def engine_integrate(f, spec, tol=TOL):
@@ -470,15 +523,25 @@ def engine_integrate(f, spec, tol=TOL):
 
 
 def engine_level_sum(f, spec):
-    """The level_sum an engine hands to `_drive`."""
-    captured = []
-    drive = quad._drive
-    quad._drive = lambda level_sum, tol, max_level=quad.MAX_LEVEL: captured.append(level_sum)
-    try:
-        engine_integrate(f, spec)
-    finally:
-        quad._drive = drive
-    return captured[0]
+    """The engine's own one-row block evaluation (call layout, level sums,
+    finiteness scan) as a reference-style ``level_sum``."""
+    transform, args = quad._layout([spec or IntegralSpec.real_line()])
+    rows = np.arange(1)
+
+    def level_sum(first, last):
+        blk = quad._block(transform, first, last)
+        x, dlo, dhi, scale, centre_w = args(blk, rows)
+        with np.errstate(all="ignore"):
+            out = np.asarray(f(x, dlo, dhi), dtype=float)
+            fv = np.broadcast_to(out, (1, np.shape(x)[-1]))
+            sums, edges = quad._level_sums(blk, fv, scale, centre_w)
+        found = [None]
+        failed = quad._non_finite_rows(found, rows, x, fv, sums)
+        if failed is not None and failed.any():
+            raise found[0]
+        return [[s, n, e] for s, n, e in zip(sums[0].tolist(), blk.counts, edges[0].tolist())]
+
+    return level_sum
 
 
 def block_triples(level_sum):
@@ -538,6 +601,182 @@ class TestReferenceEvaluation:
         assert len(res.level_errors) == quad.MAX_LEVEL
 
 
+# --------------------------------------------------------------------------
+# reference principal values and outcomes: integrate_pv and the per-sample
+# verify loop as they were before an entry's samples were batched, over the
+# reference engines above.  The per-sample engines, the batched core and
+# verify_entry must all match them bit for bit.
+# --------------------------------------------------------------------------
+
+def _ref_naive_fold(f, s, lo, hi):
+    def fold(u):
+        uc = np.maximum(u, 1e-7 * max(abs(s), 1.0))
+        out = 0.0
+        for x in (s + uc, s - uc):
+            out = out + _ref_call(f, x, x - lo, hi - x)
+        return out
+
+    return fold
+
+
+def _ref_rebased(f, lo, hi, sub_lo, sub_hi):
+    keep_lo, keep_hi = sub_lo == lo, sub_hi == hi
+
+    def g(x, dlo, dhi):
+        return f(x, dlo if keep_lo else x - lo, dhi if keep_hi else hi - x)
+
+    return g
+
+
+def reference_pv(f, spec, tol=TOL, folds=None):
+    poles = list(spec.poles)
+    lo = spec.lo if spec.lo is not None else -math.inf
+    hi = spec.hi if spec.hi is not None else math.inf
+    windows = []
+    for i, s in enumerate(poles):
+        gaps = [g for g, ok in ((s - lo, math.isfinite(lo)), (hi - s, math.isfinite(hi))) if ok]
+        gaps += [abs(other - s) for j, other in enumerate(poles) if j != i]
+        windows.append(0.5 * min(gaps) if gaps else 1.0)
+    piece_tol = tol / (2.0 * len(poles) + 1.0)
+    found = []
+    for i, (s, h) in enumerate(zip(poles, windows)):
+        fold = folds[i] if folds is not None else _ref_naive_fold(f, s, lo, hi)
+
+        def folded(x, dlo, dhi, _fold=fold, _h=h):
+            return _fold(np.maximum(dlo, quad._FOLD_CLAMP * _h))
+
+        found.append(reference_integrate(folded, IntegralSpec.finite(0.0, h), piece_tol))
+    cuts = [lo] + [c for s, h in zip(poles, windows) for c in (s - h, s + h)] + [hi]
+    for k in range(0, len(cuts), 2):
+        a, b = cuts[k], cuts[k + 1]
+        if b <= a + 1e-14 * max(1.0, abs(a)):
+            continue
+        kind = "half_line_down" if math.isinf(a) else "half_line_up" if math.isinf(b) else "finite"
+        sub = IntegralSpec(
+            kind, a if math.isfinite(a) else None, b if math.isfinite(b) else None,
+            spec.alpha_lo if a == lo else 0.0, spec.alpha_hi if b == hi else 0.0,
+        )
+        found.append(reference_integrate(_ref_rebased(f, lo, hi, a, b), sub, piece_tol))
+    total = err = 0.0
+    evals = 0
+    status = "converged"
+    for res in found:
+        total += res.value
+        err += res.error_estimate
+        evals += res.evaluations
+        if not res.converged:
+            status = res.status
+    return quad.QuadratureResult(total, err, evals, status)
+
+
+def reference_result(f, spec, folds=None):
+    return reference_pv(f, spec, folds=folds) if spec.poles else reference_integrate(f, spec)
+
+
+def batched(res):
+    """A batched row's result in the form of `outcome`."""
+    if isinstance(res, quad.EvaluationError):
+        return ("EvaluationError", str(res))
+    return bits(res)
+
+
+def columns(params):
+    """The samples' parameters as (rows x 1) columns, one per name."""
+    return {name: np.array([p[name] for p in params])[:, None] for name in params[0]}
+
+
+def outcome_bits(o):
+    floats = (o.numeric, o.closed, o.abs_err, o.rel_err)
+    return (o.entry_id, o.sample_index, o.params, *(float(v).hex() for v in floats),
+            o.evaluations, o.status)
+
+
+class TestBatchedReference:
+    """All 80 entries, PV included: 20 samples at seed 7 and the default
+    margin, then 4 at the 0.01 edge margin."""
+
+    @staticmethod
+    def runs(rec):
+        edge = dataclasses.replace(rec, domain=dataclasses.replace(rec.domain, margin=0.01))
+        return [(rec, verify.RunConfig(seed=7, samples_per_entry=20)),
+                (edge, verify.RunConfig(seed=7, samples_per_entry=4))]
+
+    @pytest.mark.parametrize("rec", catalog.all_entries(), ids=lambda r: r.id)
+    def test_entry_matches_reference(self, rec):
+        for r, cfg in self.runs(rec):
+            params = [catalog.sample_params(r, cfg.seed, i) for i in range(cfg.samples_per_entry)]
+            specs = [r.make_spec(p) for p in params]
+            expected, outcomes = [], []
+            for index, (p, spec) in enumerate(zip(params, specs)):
+                folds = r.make_folds(p) if r.make_folds is not None else None
+                f = r.make_integrand(p)
+                ref = outcome(lambda f, spec: reference_result(f, spec, folds), f, spec)
+                # the per-sample engines, with plain float parameters
+                alone = outcome(lambda f, spec: quad.integrate(f, spec, TOL, folds=folds), f, spec)
+                assert alone == ref
+                expected.append(ref)
+                res = None if ref[0] == "EvaluationError" else reference_result(f, spec, folds)
+                closed = catalog.closed_form_value(r, p)
+                outcomes.append(outcome_bits(verify._outcome(r, index, p, closed, res, cfg, 0.0)))
+            # the batched core, with (rows x 1) parameter columns
+            cols = columns(params)
+
+            def take(rows):
+                return {name: col[rows] for name, col in cols.items()}
+
+            make_folds = None if r.make_folds is None else (lambda rows: r.make_folds(take(rows)))
+            found = quad.integrate_rows(
+                lambda rows: r.make_integrand(take(rows)), specs, TOL, make_folds,
+            )
+            assert [batched(res) for res in found] == expected
+            assert [outcome_bits(o) for o in verify.verify_entry(r, cfg)] == outcomes
+
+
+class TestBatchedRows:
+    """integrate_rows against the one-row engines, on cases the catalog
+    does not reach: PV without analytic folds, leftover pieces that exist
+    on some rows only, and a row whose values are non-finite."""
+
+    @staticmethod
+    def two_pole(p):
+        return lambda x, dlo, dhi: dlo ** (p["mu"] - 1.0) / ((p["a"] - x) * (p["b"] - x))
+
+    def test_naive_folds_and_uneven_pieces(self):
+        # the piece between the windows exists only where 2a < b
+        rows = [dict(mu=0.4, a=0.5, b=2.0), dict(mu=0.7, a=1.0, b=1.6), dict(mu=1.3, a=0.3, b=2.5)]
+        specs = [IntegralSpec.half_line_up(0.0, alpha_lo=p["mu"] - 1.0, poles=(p["a"], p["b"]))
+                 for p in rows]
+        cols = columns(rows)
+        found = quad.integrate_rows(
+            lambda r: self.two_pole({k: v[r] for k, v in cols.items()}), specs, TOL,
+        )
+        alone = [quad.integrate_pv(self.two_pole(p), spec, TOL) for p, spec in zip(rows, specs)]
+        assert [bits(res) for res in found] == [bits(res) for res in alone]
+        assert [bits(res) for res in alone] == [bits(reference_pv(self.two_pole(p), spec))
+                                                for p, spec in zip(rows, specs)]
+
+    def test_non_finite_row_fails_alone(self):
+        b = np.array([[0.5], [1.5], [2.5]])
+
+        def make_f(r):
+            return lambda x, dlo, dhi: np.where(b[r] == 1.5, np.nan, dlo ** (b[r] - 1.0))
+
+        specs = [IntegralSpec.finite(0.0, 1.0, v - 1.0, 0.0) for v in b[:, 0]]
+        found = quad.integrate_rows(make_f, specs, TOL)
+        assert isinstance(found[1], quad.EvaluationError)
+        for i in (0, 2):
+            def alone(x, dlo, dhi, v=b[i, 0].item()):
+                return dlo ** (v - 1.0)
+
+            assert bits(found[i]) == bits(quad.integrate_finite(alone, specs[i], TOL))
+
+    def test_rows_share_one_domain_shape(self):
+        with pytest.raises(ValueError, match="share one domain kind"):
+            mixed = [IntegralSpec.finite(0.0, 1.0), IntegralSpec.half_line_up(0.0)]
+            quad.integrate_rows(lambda r: _never_called, mixed)
+        assert quad.integrate_rows(lambda r: _never_called, []) == []
+
+
 # engine, spec, transform, reference coordinate of side a / side b, smooth base
 _ENGINES = {
     "finite": (IntegralSpec.finite(0.0, 1.0), "tanh_sinh",
@@ -579,6 +818,7 @@ class TestNonFiniteDetection:
         f, spec = self.marked(engine, [(1, centre, math.nan)])
         with pytest.raises(quad.EvaluationError, match="non-finite"):
             engine_integrate(f, spec)
+        assert outcome(engine_integrate, f, spec) == outcome(reference_integrate, f, spec)
 
     @pytest.mark.parametrize("engine", list(_ENGINES))
     def test_opposite_infinities_on_mirrored_nodes(self, engine):
@@ -586,6 +826,7 @@ class TestNonFiniteDetection:
         f, spec = self.marked(engine, [(0, a[0], math.inf), (1, b[0], -math.inf)])
         with pytest.raises(quad.EvaluationError, match="non-finite"):
             engine_integrate(f, spec)
+        assert outcome(engine_integrate, f, spec) == outcome(reference_integrate, f, spec)
 
     @pytest.mark.parametrize("engine", list(_ENGINES))
     def test_inf_at_outermost_node_of_level_3(self, engine):
@@ -603,6 +844,7 @@ class TestNonFiniteDetection:
 
         res = engine_integrate(f, spec)
         assert not math.isfinite(res.value)
+        assert res.status != "converged"
         assert bits(res) == bits(reference_integrate(f, spec))
 
 

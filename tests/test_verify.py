@@ -1,12 +1,15 @@
 """Verification harness: outcome semantics, determinism, serialization."""
 
+import dataclasses
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from betaquad import catalog, verify
+from betaquad import catalog, quad, verify
 from betaquad.catalog import core
 from betaquad.quad import IntegralSpec
 
@@ -78,6 +81,65 @@ class TestVerifyEntry:
         assert all(o.status == "quad_nonconverged" for o in outcomes)
 
 
+    def test_samples_share_each_integrand_call(self):
+        # one call for levels 0..MIN_LEVEL and one per deeper level, over
+        # every sample still open: not one set of calls per sample
+        rec = catalog.entry("3.191.3")
+        cfg = verify.RunConfig(seed=7, samples_per_entry=20)
+        calls = nodes = 0
+
+        def make_integrand(p):
+            f = rec.make_integrand(p)
+
+            def counted(x, dlo, dhi):
+                nonlocal calls, nodes
+                calls += 1
+                nodes += np.broadcast(x, dlo, dhi).size
+                return f(x, dlo, dhi)
+
+            return counted
+
+        outcomes = verify.verify_entry(dataclasses.replace(rec, make_integrand=make_integrand), cfg)
+        alone = []
+        for index in range(cfg.samples_per_entry):
+            params = catalog.sample_params(rec, cfg.seed, index)
+            alone.append(quad.integrate(rec.make_integrand(params), rec.make_spec(params), 1e-10))
+        deepest = max(len(res.level_errors) for res in alone)
+        assert deepest > quad.MIN_LEVEL
+        assert calls == 1 + deepest - quad.MIN_LEVEL
+        assert [o.evaluations for o in outcomes] == [res.evaluations for res in alone]
+        assert nodes == sum(res.evaluations for res in alone)
+
+    def test_batch_error_falls_back_to_each_sample(self):
+        # a factory that cannot take columns sends every sample down the
+        # per-sample path, which gives the same outcomes
+        rec = catalog.entry("eq-4.3")
+        cfg = verify.RunConfig(seed=7, samples_per_entry=4)
+
+        def make_integrand(p):
+            if np.ndim(p["a"]):
+                raise ValueError("no columns here")
+            return rec.make_integrand(p)
+
+        scalar_only = dataclasses.replace(rec, make_integrand=make_integrand)
+        strip = [dataclasses.replace(o, elapsed_ms=0.0) for o in verify.verify_entry(rec, cfg)]
+        assert [dataclasses.replace(o, elapsed_ms=0.0)
+                for o in verify.verify_entry(scalar_only, cfg)] == strip
+
+    def test_non_finite_row_is_a_sample_error_alone(self):
+        # sample 1 returns NaN: only its outcome is a sample_error
+        rec = catalog.entry("3.191.3")
+        cfg = verify.RunConfig(seed=7, samples_per_entry=3)
+        bad_a = catalog.sample_params(rec, cfg.seed, 1)["a"]
+
+        def make_integrand(p):
+            f = rec.make_integrand(p)
+            return lambda x, dlo, dhi: np.where(p["a"] == bad_a, np.nan, f(x, dlo, dhi))
+
+        outcomes = verify.verify_entry(dataclasses.replace(rec, make_integrand=make_integrand), cfg)
+        assert [o.status for o in outcomes] == ["pass", "sample_error", "pass"]
+
+
 class TestVerifyAll:
     def test_filtered_run(self):
         cfg = verify.RunConfig(
@@ -119,6 +181,15 @@ class TestVerifyAll:
         first = verify.report_to_jsonl(verify.verify_all(cfg))
         second = verify.report_to_jsonl(verify.verify_all(cfg))
         assert first == second
+
+    def test_cold_import_loads_no_thread_pool(self, package_env):
+        # concurrent.futures is imported only when a run asks for threads
+        code = "import sys, betaquad.cli; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=package_env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
