@@ -33,7 +33,7 @@ def _build_parser():
                           help="override the per-class relative tolerance")
     p_verify.add_argument("--atol", type=float, default=1e-12)
     p_verify.add_argument("--jobs", type=int, default=1,
-                          help="worker threads (default 1; more only adds GIL contention)")
+                          help="accepted for compatibility (>= 1); no effect, runs are serial")
     p_verify.add_argument("--report", metavar="PATH", default=None,
                           help="write the report here instead of stdout")
     p_verify.add_argument("--format", choices=("json", "text"), default="json")

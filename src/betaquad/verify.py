@@ -9,8 +9,9 @@ than flagged as non-convergent.
 
 Reports serialize as JSON lines (one outcome per line, then one summary
 object).  Timing fields are canonicalized to 0.0 in the JSON form so that
-reruns with identical flags are byte-identical regardless of wall clock or
-thread count; the text form shows real timings.
+reruns with identical flags are byte-identical regardless of wall clock;
+the text form shows real timings.  Entries run one after another in one
+thread; ``RunConfig.parallelism`` is validated but has no effect.
 """
 
 from __future__ import annotations
@@ -50,13 +51,14 @@ class RunConfig:
     rtol_override: float | None = None
     atol: float = 1e-12
     entry_filter: tuple[str, ...] | None = None
-    parallelism: int = 1
+    parallelism: int = 1  # validated, no effect: entries run serially
 
     def __post_init__(self):
         if self.samples_per_entry < 1:
             raise ValueError("samples_per_entry must be >= 1")
-        if self.atol <= 0.0 or (self.rtol_override is not None and self.rtol_override <= 0.0):
-            raise ValueError("tolerances must be positive")
+        for tol in (self.atol, self.rtol_override):
+            if tol is not None and not 0.0 < tol < math.inf:  # NaN fails too
+                raise ValueError("tolerances must be positive and finite")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
 
@@ -119,10 +121,11 @@ _SAMPLE_ERRORS = (catalog.DomainTooTightError, ValueError, OverflowError, quad.Q
 def _verify_rows(rec, cfg):
     """All samples of one entry.  Parameters, closed forms and specs are
     drawn per sample; the integrals of all samples with the same domain
-    shape then run as one batch.  A sample the batch cannot settle (its
-    values were non-finite, or the batch as a whole raised) is integrated
-    again on its own.  Each outcome's elapsed time is an even share of the
-    entry's."""
+    shape then run as one batch.  A row whose batch result is an error, and
+    every row of a batch that raised as a whole, is a sample_error: a
+    batched row is bit-identical to its lone sample, so integrating it
+    again alone would give the same error.  Each outcome's elapsed time is
+    an even share of the entry's."""
     start = time.perf_counter()
     drawn = []
     for index in range(cfg.samples_per_entry):
@@ -144,11 +147,10 @@ def _verify_rows(rec, cfg):
         try:
             found = _batch(rec, [row[1] for row in group], [row[3] for row in group])
         except _SAMPLE_ERRORS:
-            found = [None] * len(group)
-        for (index, params, _, spec), result in zip(group, found):
-            if not isinstance(result, quad.QuadratureResult):
-                result = _integrate_one(rec, params, spec)
-            results[index] = result
+            continue  # every row of the group stays a sample_error
+        for (index, *_), result in zip(group, found):
+            if isinstance(result, quad.QuadratureResult):
+                results[index] = result
     elapsed = 1e3 * (time.perf_counter() - start) / len(drawn)
     return [
         _outcome(rec, index, params, closed, result, cfg, elapsed)
@@ -169,17 +171,6 @@ def _batch(rec, params, specs):
     return quad.integrate_rows(
         lambda rows: rec.make_integrand(take(rows)), specs, ENGINE_REQUEST_TOL, make_folds,
     )
-
-
-def _integrate_one(rec, params, spec):
-    """One sample on its own, with plain float parameters; None when it
-    raises what a sample may raise."""
-    try:
-        f = rec.make_integrand(params)
-        folds = rec.make_folds(params) if rec.make_folds is not None else None
-        return quad.integrate(f, spec, ENGINE_REQUEST_TOL, folds=folds)
-    except _SAMPLE_ERRORS:
-        return None
 
 
 def _outcome(rec, index, params, closed, result, cfg, elapsed):
@@ -218,19 +209,8 @@ def verify_all(cfg: RunConfig) -> VerificationReport:
     """Verify the (filtered) roster; deterministic for a fixed config."""
     start = time.perf_counter()
     entries = _selected_entries(cfg)
-
-    def run_entry(rec):
-        return _verify_rows(rec, cfg)
-
-    # entries are in sorted-id order, each in index order, and map keeps it
-    if cfg.parallelism > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            per_entry = list(pool.map(run_entry, entries))
-    else:
-        per_entry = list(map(run_entry, entries))
-    results = [o for outcomes in per_entry for o in outcomes]
+    # entries in sorted-id order, each in sample-index order
+    results = [o for rec in entries for o in _verify_rows(rec, cfg)]
 
     passes = sum(1 for o in results if o.status == "pass")
     failures = len(results) - passes

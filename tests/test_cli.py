@@ -73,6 +73,9 @@ class TestVerifyCommand:
         assert run(["verify", "--samples", "0"]) == 2
         assert run(["verify", "--jobs", "0"]) == 2
         assert run(["verify", "--atol", "-1e-9"]) == 2
+        for bad in ("nan", "inf"):
+            assert run(["verify", "--id", "3.191.3", "--samples", "2", "--atol", bad]) == 2
+            assert run(["verify", "--id", "3.191.3", "--samples", "2", "--rtol", bad]) == 2
         capsys.readouterr()
 
     def test_unknown_flag_exits_2(self, capsys):

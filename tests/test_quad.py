@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betaquad import catalog, quad, verify
+from betaquad import catalog, oracle, quad, verify
 from betaquad.quad import IntegralSpec
 
 SQRT_PI = math.sqrt(math.pi)
@@ -770,6 +770,22 @@ class TestBatchedRows:
 
             assert bits(found[i]) == bits(quad.integrate_finite(alone, specs[i], TOL))
 
+    def test_non_finite_pv_row_fails_alone(self):
+        # PV without folds: row 1 returns NaN, and only that row fails
+        c = np.array([[1.0], [2.0], [0.5]])
+
+        def make_f(r):
+            return lambda x, dlo, dhi: np.where(c[r] == 2.0, np.nan, c[r] / (x - 1.0))
+
+        specs = [IntegralSpec.finite(0.0, 2.0, poles=(1.0,))] * 3
+        found = quad.integrate_rows(make_f, specs, TOL)
+        assert isinstance(found[1], quad.EvaluationError)
+        for i in (0, 2):
+            def alone(x, dlo, dhi, v=c[i, 0].item()):
+                return v / (x - 1.0)
+
+            assert bits(found[i]) == bits(quad.integrate_pv(alone, specs[i], TOL))
+
     def test_rows_share_one_domain_shape(self):
         with pytest.raises(ValueError, match="share one domain kind"):
             mixed = [IntegralSpec.finite(0.0, 1.0), IntegralSpec.half_line_up(0.0)]
@@ -910,25 +926,25 @@ class TestOracle:
         ]
         for f, spec, expected in cases:
             de = quad.integrate_finite(f, spec, TOL).value
-            orc = quad.oracle_integrate(f, spec)
+            orc = oracle.oracle_integrate(f, spec)
             assert orc == pytest.approx(expected, rel=1e-9, abs=1e-9)
             assert abs(de - orc) <= 1e-9 * max(1.0, abs(expected))
 
     def test_half_line(self):
-        orc = quad.oracle_integrate(
+        orc = oracle.oracle_integrate(
             lambda x, dlo, dhi: 1.0 / (1.0 + x * x), IntegralSpec.half_line_up(0.0)
         )
         assert orc == pytest.approx(math.pi / 2.0, rel=1e-9)
 
     def test_real_line(self):
-        orc = quad.oracle_integrate(
+        orc = oracle.oracle_integrate(
             lambda x, dlo, dhi: np.exp(-x * x), IntegralSpec.real_line()
         )
         assert orc == pytest.approx(SQRT_PI, rel=1e-9)
 
     def test_rejects_principal_values(self):
         with pytest.raises(ValueError):
-            quad.oracle_integrate(
+            oracle.oracle_integrate(
                 lambda x, dlo, dhi: 1.0 / (x - 1.0),
                 IntegralSpec.finite(0.0, 2.0, poles=(1.0,)),
             )

@@ -110,9 +110,9 @@ class TestVerifyEntry:
         assert [o.evaluations for o in outcomes] == [res.evaluations for res in alone]
         assert nodes == sum(res.evaluations for res in alone)
 
-    def test_batch_error_falls_back_to_each_sample(self):
-        # a factory that cannot take columns sends every sample down the
-        # per-sample path, which gives the same outcomes
+    def test_factory_rejecting_columns_makes_sample_errors(self):
+        # factories must take (rows x 1) columns: there is no per-sample
+        # path, so one that rejects them makes each sample a sample_error
         rec = catalog.entry("eq-4.3")
         cfg = verify.RunConfig(seed=7, samples_per_entry=4)
 
@@ -122,9 +122,10 @@ class TestVerifyEntry:
             return rec.make_integrand(p)
 
         scalar_only = dataclasses.replace(rec, make_integrand=make_integrand)
-        strip = [dataclasses.replace(o, elapsed_ms=0.0) for o in verify.verify_entry(rec, cfg)]
-        assert [dataclasses.replace(o, elapsed_ms=0.0)
-                for o in verify.verify_entry(scalar_only, cfg)] == strip
+        outcomes = verify.verify_entry(scalar_only, cfg)
+        assert [o.status for o in outcomes] == ["sample_error"] * 4
+        assert [o.params for o in outcomes] == [catalog.sample_params(rec, 7, i) for i in range(4)]
+        assert all(o.evaluations == 0 and math.isnan(o.numeric) for o in outcomes)
 
     def test_non_finite_row_is_a_sample_error_alone(self):
         # sample 1 returns NaN: only its outcome is a sample_error
@@ -183,13 +184,21 @@ class TestVerifyAll:
         assert first == second
 
     def test_cold_import_loads_no_thread_pool(self, package_env):
-        # concurrent.futures is imported only when a run asks for threads
-        code = "import sys, betaquad.cli; print('concurrent.futures' in sys.modules)"
+        # runs are serial: neither the import nor a run asking for threads
+        # loads concurrent.futures
+        code = (
+            "import sys, betaquad.cli\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            "from betaquad import verify\n"
+            "verify.verify_all(verify.RunConfig(samples_per_entry=2, parallelism=4,"
+            " entry_filter=('3.191.3', '3.217')))\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code], env=package_env, capture_output=True, text=True,
             check=True,
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["False", "False"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -198,6 +207,11 @@ class TestVerifyAll:
             verify.RunConfig(atol=-1.0)
         with pytest.raises(ValueError):
             verify.RunConfig(rtol_override=0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                verify.RunConfig(atol=bad)
+            with pytest.raises(ValueError):
+                verify.RunConfig(rtol_override=bad)
         with pytest.raises(ValueError):
             verify.RunConfig(parallelism=0)
 
