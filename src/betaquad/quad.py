@@ -97,7 +97,8 @@ class IntegralSpec:
 
     ``alpha_lo``/``alpha_hi`` describe power-law behaviour of the integrand
     near the corresponding finite endpoint; both must exceed -1 for the
-    integral to exist.  Poles listed in ``poles`` are simple and trigger
+    integral to exist.  An infinite end takes neither an endpoint nor a
+    nonzero exponent.  Poles listed in ``poles`` are simple and trigger
     principal-value treatment.
     """
 
@@ -113,13 +114,16 @@ class IntegralSpec:
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if not (self.alpha_lo > -1.0 and self.alpha_hi > -1.0):  # NaN fails too
             raise ValueError("endpoint exponents must exceed -1 for integrability")
-        if self.kind == "finite":
-            if not (_finite(self.lo) and _finite(self.hi) and self.lo < self.hi):
-                raise ValueError("finite domain requires finite lo < hi")
-        elif self.kind == "half_line_up" and not _finite(self.lo):
-            raise ValueError("half_line_up requires a finite lower endpoint")
-        elif self.kind == "half_line_down" and not _finite(self.hi):
-            raise ValueError("half_line_down requires a finite upper endpoint")
+        for name, end, alpha, finite_in in (
+            ("lower", self.lo, self.alpha_lo, ("finite", "half_line_up")),
+            ("upper", self.hi, self.alpha_hi, ("finite", "half_line_down")),
+        ):
+            if self.kind in finite_in and not _finite(end):
+                raise ValueError(f"{self.kind} requires a finite {name} endpoint")
+            if self.kind not in finite_in and (end is not None or alpha != 0.0):
+                raise ValueError(f"{self.kind} takes no {name} endpoint or exponent (infinite end)")
+        if self.kind == "finite" and not self.lo < self.hi:
+            raise ValueError("finite domain requires lo < hi")
         lo = self.lo if self.lo is not None else -math.inf
         hi = self.hi if self.hi is not None else math.inf
         if len(set(self.poles)) != len(self.poles):
@@ -149,6 +153,27 @@ class IntegralSpec:
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """One integral: its last level's ``value``, the integrand values it
+    used (``evaluations``) and why its level loop stopped (``status``).
+
+    Each level tests, in this order, with limit = tol * max(1, |value|):
+    a non-finite value (an overflowing sum) is ``diverging`` with an inf
+    ``error_estimate``; from MIN_LEVEL on, a level difference within the
+    limit is ``converged``, or ``diverging`` with the larger of the two
+    as estimate if the outermost kept nodes still add h * |w*f| > 10x
+    the limit (the integrand is alive where the node table stops); from
+    level 4 on, a difference that grew past the limit at two levels in a
+    row is ``diverging``; past MAX_EVALUATIONS evaluations, ``max_evals``;
+    at MAX_LEVEL, ``max_level``, or ``diverging`` if the outermost nodes
+    fail the same 10x test.  Otherwise the estimate is the last level
+    difference (inf at level 0).  ``level_errors`` holds each level's
+    difference to the one before: k of them when the loop stops at level
+    k, k - 1 (none at 0) for a non-finite value.  A non-finite integrand
+    value raises EvaluationError instead.  A principal value sums its
+    pieces, takes the status of the last one that did not converge and
+    has no ``level_errors``.
+    """
+
     value: float
     error_estimate: float
     evaluations: int
@@ -255,6 +280,8 @@ class _Block:
     inf: np.ndarray | None = None
 
 
+# (first, last) level of each block the driver evaluates in one call
+_LEVEL_BLOCKS = ((0, MIN_LEVEL),) + tuple((k, k) for k in range(MIN_LEVEL + 1, MAX_LEVEL + 1))
 _BLOCKS: dict[tuple[str, int, int], _Block] = {}
 
 
@@ -300,16 +327,6 @@ def _block(transform, first, last):
     return blk
 
 
-def _non_finite(x, fv):
-    """The EvaluationError for integrand values ``fv`` at nodes ``x``, or
-    None when every value is finite."""
-    bad = ~np.isfinite(fv)
-    if not bad.any():
-        return None
-    where = np.asarray(x)[bad][:3]
-    return EvaluationError(f"integrand returned non-finite values near x={where}")
-
-
 def _level_sums(blk, fv, scale, centre_w):
     """Per-row, per-level sums of w*f over each level's new nodes, and the
     magnitude of each level's outermost node contribution.
@@ -341,8 +358,8 @@ def _level_sums(blk, fv, scale, centre_w):
 
 def _non_finite_rows(results, rows, x, fv, sums):
     """Record an EvaluationError for each row whose integrand values are
-    not all finite, and return the mask of those rows (None if there are
-    none).
+    not all finite, and return the mask of the rows to keep (None when
+    every row is kept).
 
     Every weight is positive and finite, so a non-finite value always makes
     its level sum non-finite: the elementwise scan for the error message
@@ -351,66 +368,72 @@ def _non_finite_rows(results, rows, x, fv, sums):
     finite = np.isfinite(sums)
     if finite.all():
         return None
-    failed = ~finite.all(axis=1)
-    for j in np.flatnonzero(failed).tolist():
-        error = _non_finite(np.broadcast_to(x, fv.shape)[j], fv[j])
-        if error is None:
-            failed[j] = False
+    keep = finite.all(axis=1)
+    x = np.broadcast_to(x, fv.shape)
+    for j in np.flatnonzero(~keep).tolist():
+        bad = ~np.isfinite(fv[j])
+        if bad.any():
+            where = x[j][bad][:3]
+            results[rows[j]] = EvaluationError(f"integrand returned non-finite values near x={where}")
         else:
-            results[rows[j]] = error
-    return failed
+            keep[j] = True
+    return keep
 
 
-def _drive(make_f, layout, tol, nrows):
-    """Level-doubling driver for ``nrows`` integrals that share one node table.
+def _verdict(level, tol, capped, value, diff, tail, met, spiral):
+    """(status, error estimate, level_errors depth) of one row that stops
+    at ``level``, in QuadratureResult's order.  ``tail`` is h * edge; a
+    row that is not blown, met, spiralling or capped stops at the last
+    level."""
+    if not math.isfinite(value):
+        return "diverging", math.inf, max(level - 1, 0)
+    # a value is only trusted where the truncated tails are negligible
+    wild = tail > 10.0 * (tol * max(1.0, abs(value)))
+    if met:
+        if wild:
+            return "diverging", max(diff, tail), level
+        return "converged", diff, level
+    if spiral:
+        return "diverging", diff, level
+    if capped:
+        return "max_evals", diff, level
+    return ("diverging" if wild else "max_level"), diff, level
 
-    ``layout`` is (transform, args); ``args(blk, rows)`` gives the call
-    arrays x, dlo, dhi of the open rows and each row's sum scale and centre
-    weight.  ``make_f(rows)`` gives the integrand of the open rows, whose
+
+def _drive(make_f, specs, tol):
+    """Level-doubling driver for rows of one pole-free domain kind, which
+    share one node table.
+
+    ``make_f(rows)`` gives the integrand of the open rows, whose
     parameters are (rows x 1) columns.  Levels 0..MIN_LEVEL are always all
     needed, so they come as one call; each later level is one call over
     the rows still open, so a row that converges at level k never
     evaluates level k+1.  The trapezoid value at step h halves into the
-    next level, so I_k = I_{k-1}/2 + h_k * S_k, row by row; every decision
-    below is the same elementwise arithmetic for each row as for a lone
-    integral.
-
-    A row only counts as converged when its value is finite and its
-    outermost kept node contributes negligibly: the node tables stop where
-    weights or distances leave double-precision range, and an integrand
-    that is still alive out there (a divergent tail or a non-integrable
-    endpoint) would otherwise "converge" to a truncation artifact.  A
-    non-finite value (finite integrand values whose sum overflows) stops
-    its row as "diverging" with an infinite estimate.
+    next level, so I_k = I_{k-1}/2 + h_k * S_k, row by row.  Vectorised
+    masks decide which rows stop at a level and ``_verdict`` why (see
+    QuadratureResult), with the same arithmetic for each row as for a
+    lone integral.
 
     Returns one QuadratureResult per row, or the EvaluationError of a row
     whose integrand returned a non-finite value.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    transform, args = layout
+    transform, args = _layout(specs)
+    nrows = len(specs)
     results = [None] * nrows
-    # per open row, aligned with ``rows``: the level differences so far, the
-    # last one, and whether it grew at the last level
+    # per open row, aligned with ``rows``: the level differences so far,
+    # the last value (none before level 0) and difference, and whether the
+    # difference grew at the last level
     rows = np.arange(nrows)
     history = np.empty((nrows, MAX_LEVEL))
+    prev = np.zeros(nrows)
     diff = np.full(nrows, math.inf)
     rising = np.zeros(nrows, dtype=bool)
-    value = edge = prev = None
     evals = 0
-    h = 1.0
-
-    def finish(mask, status, estimate, depth):
-        for j in np.flatnonzero(mask).tolist():
-            levels = tuple(history[j, :depth].tolist())
-            results[rows[j]] = QuadratureResult(
-                float(value[j]), float(estimate[j]), evals, status, levels
-            )
-
-    blocks = [(0, MIN_LEVEL)] + [(k, k) for k in range(MIN_LEVEL + 1, MAX_LEVEL + 1)]
     # every integrand call runs inside this loop, so one errstate covers them all
     with np.errstate(all="ignore"):
-        for first, last in blocks:
+        for first, last in _LEVEL_BLOCKS:
             if not rows.size:
                 break
             blk = _block(transform, first, last)
@@ -420,71 +443,60 @@ def _drive(make_f, layout, tol, nrows):
             if fv.shape != shape:
                 fv = np.broadcast_to(fv, shape)
             sums, edges = _level_sums(blk, fv, scale, centre_w)
-            failed = _non_finite_rows(results, rows, x, fv, sums)
-            if failed is not None:
-                keep = ~failed
-                rows, history, diff, rising, sums, edges = (
-                    a[keep] for a in (rows, history, diff, rising, sums, edges)
+            keep = _non_finite_rows(results, rows, x, fv, sums)
+            if keep is not None:
+                rows, history, prev, diff, rising, sums, edges = (
+                    a[keep] for a in (rows, history, prev, diff, rising, sums, edges)
                 )
-                prev = None if prev is None else prev[keep]
             for k, n in enumerate(blk.counts):
                 if not rows.size:
                     break
                 level = first + k
                 evals += n
                 h = 0.5 ** level
-                edge = edges[:, k]
-                if prev is None:
-                    value = h * sums[:, k]
-                    stop = blown = ~np.isfinite(value)
-                else:
-                    value = 0.5 * prev + h * sums[:, k]
-                    stop = blown = ~np.isfinite(value)
-                    new_diff = np.abs(value - prev)
-                    history[:, level - 1] = new_diff
-                    if level >= MIN_LEVEL:
-                        limit = tol * np.maximum(1.0, np.abs(value))
-                        met = new_diff <= limit
-                        stop = stop | met
-                        if level >= 4:
-                            # two levels in a row whose difference grew past the limit
-                            up = (new_diff > diff) & (new_diff > limit)
-                            spiral = up & rising
-                            rising = up
-                            stop = stop | spiral
-                    diff = new_diff
-                if evals > MAX_EVALUATIONS or stop.any():
-                    # close rows in the order a lone integral tests them
-                    done = blown
-                    if done.any():
-                        finish(done, "diverging", np.full_like(value, math.inf), max(level - 1, 0))
-                    if level >= MIN_LEVEL:
-                        met &= ~done
-                        wild = met & (h * edge > 10.0 * limit)
-                        finish(wild, "diverging", np.maximum(diff, h * edge), level)
-                        finish(met & ~wild, "converged", diff, level)
-                        done = done | met
+                value = h * sums[:, k]
+                if level:
+                    value += 0.5 * prev
+                    prev_diff, diff = diff, np.abs(value - prev)
+                    history[:, level - 1] = diff
+                stop = ~np.isfinite(value)
+                if level >= MIN_LEVEL:
+                    limit = tol * np.maximum(1.0, np.abs(value))
+                    met = diff <= limit
+                    stop |= met
                     if level >= 4:
-                        spiral &= ~done
-                        finish(spiral, "diverging", diff, level)
-                        done = done | spiral
-                    if evals > MAX_EVALUATIONS:
-                        finish(~done, "max_evals", diff, level)
-                        done = np.ones_like(done)
-                    keep = ~done
-                    rows, history, value, edge, diff, rising, sums, edges = (
-                        a[keep] for a in (rows, history, value, edge, diff, rising, sums, edges)
-                    )
+                        # two levels in a row whose difference grew past the limit
+                        up = (diff > prev_diff) & (diff > limit)
+                        spiral = up & rising
+                        rising = up
+                        stop |= spiral
+                capped = evals > MAX_EVALUATIONS
+                if capped or level == MAX_LEVEL:
+                    stop[:] = True
                 prev = value
-    if rows.size:
-        wild = h * edge > 10.0 * tol * np.maximum(1.0, np.abs(value))
-        finish(wild, "diverging", diff, MAX_LEVEL)
-        finish(~wild, "max_level", diff, MAX_LEVEL)
+                if stop.any():
+                    done = np.flatnonzero(stop)
+                    no = [False] * done.size
+                    for r, v, d, tail, m, s, hist in zip(
+                        rows[done].tolist(), value[done].tolist(), diff[done].tolist(),
+                        (h * edges[done, k]).tolist(),
+                        met[done].tolist() if level >= MIN_LEVEL else no,
+                        spiral[done].tolist() if level >= 4 else no,
+                        history[done, :level].tolist(),
+                    ):
+                        status, estimate, depth = _verdict(level, tol, capped, v, d, tail, m, s)
+                        results[r] = QuadratureResult(v, estimate, evals, status, tuple(hist[:depth]))
+                    keep = ~stop
+                    rows, history, prev, diff, rising, sums, edges = (
+                        a[keep] for a in (rows, history, prev, diff, rising, sums, edges)
+                    )
     return results
 
 
 def _layout(specs):
-    """(transform, args) for rows of one pole-free domain kind; see ``_drive``."""
+    """(transform, args) for rows of one pole-free domain kind.
+    ``args(blk, rows)`` gives the call arrays x, dlo, dhi of the open rows
+    and each row's sum scale and centre weight."""
     kind = specs[0].kind
     if kind == "real_line":
         return "sinh_sinh", lambda blk, rows: (blk.nodes, blk.inf, blk.inf, 1.0, 0.5 * math.pi)
@@ -535,7 +547,8 @@ def integrate_rows(make_f, specs, tol: float = DEFAULT_TOL, make_folds=None) -> 
     by the integer array ``rows``, with each parameter a (len(rows) x 1)
     column; ``make_folds(rows)``, when given, returns their PV window folds
     the same way.  Each call evaluates one level block for every open row,
-    and every row gets exactly the result the per-row engines give it.
+    and every row gets exactly the result it gets alone: the one-row
+    engines are this function's one-row case.
 
     Returns one QuadratureResult per row, or the QuadratureError that row
     raised.  An exception raised by an integrand itself propagates.
@@ -547,7 +560,7 @@ def integrate_rows(make_f, specs, tol: float = DEFAULT_TOL, make_folds=None) -> 
         raise ValueError("rows must share one domain kind and pole count")
     if poles:
         return _pv_rows(make_f, specs, tol, make_folds)
-    return _drive(make_f, _layout(specs), tol, len(specs))
+    return _drive(make_f, specs, tol)
 
 
 def integrate_finite(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -556,7 +569,7 @@ def integrate_finite(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> Quadrat
         raise ValueError("integrate_finite requires a finite-domain spec")
     if spec.poles:
         raise ValueError("interior poles require integrate_pv")
-    return _one(_drive(lambda rows: f, _layout([spec]), tol, 1))
+    return _one(integrate_rows(lambda rows: f, [spec], tol))
 
 
 def integrate_half_line(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -565,18 +578,12 @@ def integrate_half_line(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> Quad
         raise ValueError("integrate_half_line requires a half-line spec")
     if spec.poles:
         raise ValueError("interior poles require integrate_pv")
-    return _one(_drive(lambda rows: f, _layout([spec]), tol, 1))
+    return _one(integrate_rows(lambda rows: f, [spec], tol))
 
 
 def integrate_real_line(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """sinh-sinh over the whole real line (exponentially decaying integrands)."""
-    return _one(_drive(lambda rows: f, _layout([IntegralSpec.real_line()]), tol, 1))
-
-
-def _distances(x, lo, hi):
-    """Distances x - lo and hi - x to the domain endpoints; an infinite
-    endpoint gives inf without special handling."""
-    return x - lo, hi - x
+    return _one(integrate_rows(lambda rows: f, [IntegralSpec.real_line()], tol))
 
 
 def _naive_fold(f, s, lo, hi):
@@ -592,7 +599,7 @@ def _naive_fold(f, s, lo, hi):
     def fold(u):
         uc = np.maximum(u, floor)
         up, down = s + uc, s - uc
-        return f(up, *_distances(up, lo, hi)) + f(down, *_distances(down, lo, hi))
+        return f(up, up - lo, hi - up) + f(down, down - lo, hi - down)
 
     return fold
 
@@ -605,8 +612,7 @@ def _rebased(f, lo, hi, keep_lo, keep_hi):
     difference is fine."""
 
     def g(x, dlo, dhi):
-        far_lo, far_hi = _distances(x, lo, hi)
-        return f(x, dlo if keep_lo else far_lo, dhi if keep_hi else far_hi)
+        return f(x, dlo if keep_lo else x - lo, dhi if keep_hi else hi - x)
 
     return g
 
@@ -648,7 +654,7 @@ def integrate_pv(f, spec: IntegralSpec, tol: float = DEFAULT_TOL, folds=None) ->
     if folds is not None and len(folds) != len(spec.poles):
         raise ValueError("folds must align with spec.poles")
     make_folds = None if folds is None else (lambda rows: folds)
-    return _one(_pv_rows(lambda rows: f, [spec], tol, make_folds))
+    return _one(integrate_rows(lambda rows: f, [spec], tol, make_folds))
 
 
 def _pv_rows(make_f, specs, tol, make_folds):
@@ -658,13 +664,9 @@ def _pv_rows(make_f, specs, tol, make_folds):
     npoles = len(specs[0].poles)
     if npoles > 2:
         raise ValueError("at most two interior poles are supported")
-    nrows = len(specs)
-    results = [None] * nrows
+    results = [None] * len(specs)
     pieces = [[] for _ in specs]
-    ends = [
-        (-math.inf if s.lo is None else s.lo, math.inf if s.hi is None else s.hi)
-        for s in specs
-    ]
+    ends = [(-math.inf if s.lo is None else s.lo, math.inf if s.hi is None else s.hi) for s in specs]
     widths = []
     for r, spec in enumerate(specs):
         try:
@@ -683,10 +685,7 @@ def _pv_rows(make_f, specs, tol, make_folds):
         if not members:
             return
         ids = np.array([r for r, _ in members])
-        found = _drive(
-            lambda rows: make_piece(ids[rows]), _layout([sub for _, sub in members]),
-            piece_tol, len(ids),
-        )
+        found = _drive(lambda rows: make_piece(ids[rows]), [sub for _, sub in members], piece_tol)
         for r, res in zip(ids.tolist(), found):
             if isinstance(res, Exception):
                 results[r] = res
@@ -703,7 +702,7 @@ def _pv_rows(make_f, specs, tol, make_folds):
             clamp = _FOLD_CLAMP * width[rows, i:i + 1]
             return lambda x, dlo, dhi: fold(np.maximum(dlo, clamp))
 
-        alive = [r for r in range(nrows) if results[r] is None]
+        alive = [r for r, res in enumerate(results) if res is None]
         absorb([(r, IntegralSpec.finite(0.0, widths[r][i])) for r in alive], window)
 
     # leftover sub-intervals between [lo, hi] minus the windows, grouped by

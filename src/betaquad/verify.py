@@ -17,6 +17,7 @@ thread; ``RunConfig.parallelism`` is validated but has no effect.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 import time
 from dataclasses import dataclass
@@ -54,6 +55,11 @@ class RunConfig:
     parallelism: int = 1  # validated, no effect: entries run serially
 
     def __post_init__(self):
+        for name in ("seed", "samples_per_entry"):
+            value = getattr(self, name)
+            # a float or bool seed would hash to a stream of its own
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.samples_per_entry < 1:
             raise ValueError("samples_per_entry must be >= 1")
         for tol in (self.atol, self.rtol_override):

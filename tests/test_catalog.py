@@ -242,9 +242,8 @@ class TestIntegrandsReadOnly:
 def block_tables():
     """Every node table the engines hand to integrands: tanh-sinh unit
     distances and exp-sinh/sinh-sinh nodes, for every level block."""
-    blocks = [(0, quad.MIN_LEVEL)] + [(k, k) for k in range(quad.MIN_LEVEL + 1, quad.MAX_LEVEL + 1)]
     for transform in quad._TRANSFORMS:
-        for first, last in blocks:
+        for first, last in quad._LEVEL_BLOCKS:
             blk = quad._block(transform, first, last)
             yield from (blk.unit if blk.unit is not None else [blk.nodes])
 

@@ -57,6 +57,21 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             IntegralSpec.half_line_up(math.nan)
 
+    @pytest.mark.parametrize("kind, fields", [
+        ("half_line_up", dict(lo=0.0, hi=5.0)),
+        ("half_line_up", dict(lo=0.0, alpha_hi=0.5)),
+        ("half_line_down", dict(lo=-5.0, hi=0.0)),
+        ("half_line_down", dict(hi=0.0, alpha_lo=0.5)),
+        ("real_line", dict(lo=0.0)),
+        ("real_line", dict(hi=0.0)),
+        ("real_line", dict(alpha_lo=0.5)),
+        ("real_line", dict(alpha_hi=-0.5)),
+    ])
+    def test_infinite_end_takes_no_endpoint_or_exponent(self, kind, fields):
+        # e.g. a half_line_up hi would be ignored, not integrate over [lo, hi]
+        with pytest.raises(ValueError, match="infinite end"):
+            IntegralSpec(kind, **fields)
+
     def test_nan_exponent_rejected(self):
         with pytest.raises(ValueError):
             IntegralSpec.finite(0.0, 1.0, alpha_lo=math.nan)
@@ -536,8 +551,8 @@ def engine_level_sum(f, spec):
             fv = np.broadcast_to(out, (1, np.shape(x)[-1]))
             sums, edges = quad._level_sums(blk, fv, scale, centre_w)
         found = [None]
-        failed = quad._non_finite_rows(found, rows, x, fv, sums)
-        if failed is not None and failed.any():
+        keep = quad._non_finite_rows(found, rows, x, fv, sums)
+        if keep is not None and not keep.all():
             raise found[0]
         return [[s, n, e] for s, n, e in zip(sums[0].tolist(), blk.counts, edges[0].tolist())]
 
@@ -546,11 +561,10 @@ def engine_level_sum(f, spec):
 
 def block_triples(level_sum):
     """Every block `_drive` can ask for, as hex (sum, count, edge) triples."""
-    blocks = [(0, quad.MIN_LEVEL)] + [(k, k) for k in range(quad.MIN_LEVEL + 1, quad.MAX_LEVEL + 1)]
     with np.errstate(all="ignore"):
         return [
             (float(s).hex(), n, float(edge).hex())
-            for first, last in blocks for s, n, edge in level_sum(first, last)
+            for first, last in quad._LEVEL_BLOCKS for s, n, edge in level_sum(first, last)
         ]
 
 
@@ -785,6 +799,38 @@ class TestBatchedRows:
                 return v / (x - 1.0)
 
             assert bits(found[i]) == bits(quad.integrate_pv(alone, specs[i], TOL))
+
+    @pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "cap_at_max_level"])
+    def test_stop_reasons_keep_their_order(self, monkeypatch, capped):
+        # s * dlo**p + k * |x - 1/pi| on [0, 1], one row per stop reason:
+        # converged; diverging from the edge test at the last level (1/dlo
+        # is alive at the outermost node); diverging from a sum that
+        # overflows inside the fused block; max_level (an interior kink)
+        s = np.array([[1.0], [1.0], [8e307], [0.0]])
+        p = np.array([[0.25], [-1.001], [0.25], [0.25]])
+        k = np.array([[0.0], [0.0], [0.0], [1.0]])
+
+        def make_f(r):
+            return lambda x, dlo, dhi: s[r] * dlo ** p[r] + k[r] * np.abs(x - 1.0 / math.pi)
+
+        def alone(i):
+            sv, pv, kv = s[i, 0].item(), p[i, 0].item(), k[i, 0].item()
+            return lambda x, dlo, dhi: sv * dlo ** pv + kv * np.abs(x - 1.0 / math.pi)
+
+        spec = IntegralSpec.finite(0.0, 1.0)
+        statuses = ["converged", "diverging", "diverging", "max_level"]
+        if capped:
+            # the cap is crossed at MAX_LEVEL only: every row still open there
+            # is max_evals, whatever the last level's edge test says
+            deepest = reference_integrate(alone(3), spec).evaluations
+            monkeypatch.setattr(quad, "MAX_EVALUATIONS", deepest - 1)
+            statuses = ["converged", "max_evals", "diverging", "max_evals"]
+        found = quad.integrate_rows(make_f, [spec] * 4, TOL)
+        assert [res.status for res in found] == statuses
+        assert len(found[2].level_errors) < quad.MIN_LEVEL
+        assert [bits(res) for res in found] == [
+            bits(reference_integrate(alone(i), spec)) for i in range(4)
+        ]
 
     def test_rows_share_one_domain_shape(self):
         with pytest.raises(ValueError, match="share one domain kind"):

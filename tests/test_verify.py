@@ -214,6 +214,18 @@ class TestVerifyAll:
                 verify.RunConfig(rtol_override=bad)
         with pytest.raises(ValueError):
             verify.RunConfig(parallelism=0)
+        for bad in (7.0, True, "7", None):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                verify.RunConfig(seed=bad)
+            with pytest.raises(ValueError, match="samples_per_entry must be an integer"):
+                verify.RunConfig(samples_per_entry=bad)
+        # numpy integers draw the same stream as the int of the same value
+        cfg = verify.RunConfig(seed=np.int64(7), samples_per_entry=np.int32(2),
+                               entry_filter=("3.191.3",))
+        assert [o.params for o in verify.verify_all(cfg).outcomes] == [
+            o.params for o in verify.verify_all(verify.RunConfig(
+                seed=7, samples_per_entry=2, entry_filter=("3.191.3",))).outcomes
+        ]
 
 
 class TestCrossChecks:
