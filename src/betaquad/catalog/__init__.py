@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import random
+import _random
 
 import numpy as np
 
@@ -98,23 +99,29 @@ def entry(entry_id: str) -> IdentityRecord:
 
 
 def _stream(entry_id: str, seed: int, index: int) -> random.Random:
-    """Per-sample RNG derived by hashing (seed, entry id, sample index)."""
+    """Per-sample RNG derived by hashing (seed, entry id, sample index).
+
+    It is the stream of ``random.Random(n)``, seeded once through the C
+    seed rather than the Python wrapper (which only forwards an int)."""
     digest = hashlib.sha256(f"{seed}:{entry_id}:{index}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    rng = random.Random.__new__(random.Random)
+    _random.Random.seed(rng, int.from_bytes(digest[:8], "big"))
+    return rng
 
 
-def _draw(rng, dom: ParamDomain):
+def _draw(rng, plan):
+    """One draw of every parameter.  With the plan's w = b - a, ``a + w *
+    random()`` is the arithmetic of ``uniform(a, b)``."""
     params = {}
     ok = True
-    for prm in dom.params:
-        if prm.kind == "integer":
-            params[prm.name] = rng.randint(int(prm.lo), int(prm.hi))
+    for name, integer, a, w, shrink, exclude in plan:
+        if integer:
+            params[name] = rng.randint(a, a + w)
         else:
-            shrink = dom.margin * (prm.hi - prm.lo)
-            v = rng.uniform(prm.lo + shrink, prm.hi - shrink)
-            if any(abs(v - ex) < shrink for ex in prm.exclude):
+            v = a + w * rng.random()
+            if exclude and any(abs(v - ex) < shrink for ex in exclude):
                 ok = False
-            params[prm.name] = v
+            params[name] = v
     return params, ok
 
 
@@ -123,7 +130,7 @@ def sample_params(rec: IdentityRecord, seed: int, index: int) -> dict:
     rng = _stream(rec.id, seed, index)
     dom = rec.domain
     for _ in range(1000):
-        params, ok = _draw(rng, dom)
+        params, ok = _draw(rng, dom.plan)
         if ok and all(r.holds(params) for r in dom.relations):
             return params
     raise DomainTooTightError(rec.id)
@@ -135,15 +142,14 @@ def mid_params(rec: IdentityRecord) -> dict:
     dom = rec.domain
     params = {}
     ok = True
-    for prm in dom.params:
-        if prm.kind == "integer":
-            params[prm.name] = int((prm.lo + prm.hi) // 2)
+    for prm, (name, integer, _, _, shrink, exclude) in zip(dom.params, dom.plan):
+        if integer:
+            params[name] = int((prm.lo + prm.hi) // 2)
         else:
             mid = 0.5 * (prm.lo + prm.hi)
-            shrink = dom.margin * (prm.hi - prm.lo)
-            if any(abs(mid - ex) < shrink for ex in prm.exclude):
+            if any(abs(mid - ex) < shrink for ex in exclude):
                 ok = False
-            params[prm.name] = mid
+            params[name] = mid
     if ok and all(r.holds(params) for r in dom.relations):
         return params
     return sample_params(rec, seed=0, index=0)

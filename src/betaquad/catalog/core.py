@@ -58,14 +58,26 @@ class ParamDomain:
     params: tuple[Param, ...]
     relations: tuple[Relation, ...] = ()
     margin: float = 0.05
+    # the draw plan, worked out once: per parameter (name, integer, a,
+    # b - a, shrink, exclude), where [a, b] is the range a draw spans, the
+    # margin-shrunk one for a real parameter
+    plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        plan = []
         for p in self.params:
             if not p.lo < p.hi:
                 raise ValueError(f"empty range for parameter {p.name!r}")
             shrink = self.margin * (p.hi - p.lo)
-            if p.kind == "real" and not p.lo + shrink < p.hi - shrink:
-                raise ValueError(f"range of {p.name!r} empty after margin shrink")
+            integer = p.kind == "integer"
+            if integer:
+                a, b = int(p.lo), int(p.hi)
+            else:
+                a, b = p.lo + shrink, p.hi - shrink
+                if not a < b:
+                    raise ValueError(f"range of {p.name!r} empty after margin shrink")
+            plan.append((p.name, integer, a, b - a, shrink, p.exclude))
+        object.__setattr__(self, "plan", tuple(plan))
 
 
 @dataclass(frozen=True)

@@ -261,18 +261,21 @@ class _Block:
 
     These arrays are read-only, since the engines pass them to integrands
     as they are.  ``shared`` says that both sides of a level use one weight
-    table.  Per level, ``counts`` holds the evaluation count (level 0
-    counts the centre) and ``sides`` the slice and weights of side a and of
-    side b.  Column k of ``ends`` holds the call-array indices of the
-    outermost node of each side of level k, and the same column of
-    ``end_w`` their weights.
+    table; ``weights`` then holds side a's weights, which side b reuses,
+    and ``starts`` the index where each level begins in it.  Otherwise
+    ``weights`` covers the whole call array but the centre, and ``starts``
+    holds side a's level starts, then side b's.  Per level, ``counts``
+    holds the evaluation count (level 0 counts the centre).  Column k of
+    ``ends`` holds the call-array indices of the outermost node of each
+    side of level k, and the same column of ``end_w`` their weights.
     """
 
     split: int
     centre: bool
     shared: bool
     counts: tuple[int, ...]
-    sides: tuple
+    weights: np.ndarray
+    starts: np.ndarray
     ends: np.ndarray
     end_w: np.ndarray
     nodes: np.ndarray | None = None
@@ -294,11 +297,13 @@ def _block(transform, first, last):
     tables = [build(_level_t(level)) for level in range(first, last + 1)]
     split = sum(a.size for (a, _), _ in tables)
     centre = first == 0
-    counts, sides, ends, end_w = [], [], [], []
+    shared = all(wb is wa for (_, wa), (_, wb) in tables)
+    counts, starts, ends, end_w = [], [], [], []
     ia, ib = 0, split
-    # every level keeps its innermost t, so no side of a level is empty
+    # every level keeps its innermost t, so no side of a level is empty,
+    # and no two level starts coincide
     for (a, wa), (b, wb) in tables:
-        sides.append((slice(ia, ia + a.size), wa, slice(ib, ib + b.size), wb))
+        starts.append((ia, ib))
         ia += a.size
         ib += b.size
         counts.append(a.size + b.size)
@@ -318,12 +323,20 @@ def _block(transform, first, last):
         ))}
     else:
         arrays = {"nodes": nodes, "inf": np.broadcast_to(math.inf, nodes.shape)}
+    # side a's level starts and weights, then side b's unless shared
+    weights = [wa for (_, wa), _ in tables]
+    starts = np.array(starts).T
+    if shared:
+        starts = starts[:1]
+    else:
+        weights += [wb for _, (_, wb) in tables]
+    arrays["weights"] = np.concatenate(weights)
+    arrays["starts"] = starts.ravel()
     arrays["ends"] = np.array(ends).T.copy()
     arrays["end_w"] = np.array(end_w).T.copy()
     for a in arrays.values():
         a.setflags(write=False)
-    shared = all(wb is wa for (_, wa), (_, wb) in tables)
-    blk = _BLOCKS[key] = _Block(split, centre, shared, tuple(counts), tuple(sides), **arrays)
+    blk = _BLOCKS[key] = _Block(split, centre, shared, tuple(counts), **arrays)
     return blk
 
 
@@ -331,25 +344,28 @@ def _level_sums(blk, fv, scale, centre_w):
     """Per-row, per-level sums of w*f over each level's new nodes, and the
     magnitude of each level's outermost node contribution.
 
-    ``fv`` holds one row of integrand values per integral.  Every level
-    sum is one 1-D ``ndarray.dot`` over a contiguous row slice, so a row
-    sums in the same order whatever rows share its call.  Sides that share
-    one weight table (tanh-sinh, sinh-sinh) sum as scale * w . (f_a + f_b);
-    exp-sinh sides have their own weights and sum one dot product each.
+    ``fv`` holds one row of integrand values per integral.  The values are
+    multiplied by the block's weight row and each level summed by one
+    ``np.add.reduceat`` over its contiguous segment: the order of a sum
+    depends only on its level's length, so a row sums alike whatever rows
+    share its call, and no BLAS kernel or thread count is involved.  Sides
+    that share one weight table (tanh-sinh, sinh-sinh) sum as scale *
+    (w * (f_a + f_b)); exp-sinh sums each side's segment and adds the two.
     The centre node joins level 0 with weight ``centre_w``.  ``scale`` and
     ``centre_w`` are per-row columns or plain floats.
     """
     ends = np.abs(fv[:, blk.ends])
+    n = blk.weights.size
     if blk.shared:
-        m = blk.split
-        g = fv[:, :m] + fv[:, m:2 * m]
-        sums = np.array([[w.dot(row[a]) for a, w, _, _ in blk.sides] for row in g])
+        g = fv[:, :n] + fv[:, n:2 * n]
+        g *= blk.weights
+        sums = np.add.reduceat(g, blk.starts, axis=1)
         sums *= scale
         edges = scale * blk.end_w[0] * (ends[:, 0] + ends[:, 1])
     else:
-        sums = np.array([
-            [0.0 + wa.dot(row[a]) + wb.dot(row[b]) for a, wa, b, wb in blk.sides] for row in fv
-        ])
+        part = np.add.reduceat(fv[:, :n] * blk.weights, blk.starts, axis=1)
+        levels = len(blk.counts)
+        sums = part[:, :levels] + part[:, levels:]
         edges = np.maximum(blk.end_w[0] * ends[:, 0], blk.end_w[1] * ends[:, 1])
     if blk.centre:
         sums[:, :1] += centre_w * fv[:, -1:]

@@ -1,0 +1,86 @@
+"""Pinned seed-7 behaviour: the parameter stream, what every outcome did
+(status and evaluation count), and the default report's bytes.
+
+A change that moves one of these values re-pins it in the same commit and
+records old -> new in CHANGES.md.  The stream and the behaviour fingerprint
+hold on any machine.  The report bytes also depend on the last bits of the
+floating-point results, so they are pinned together with the environment
+that produced them, and the byte test is skipped elsewhere.
+"""
+
+import dataclasses
+import hashlib
+import platform
+
+import numpy as np
+import pytest
+
+from betaquad import catalog, verify
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as _umath
+
+
+def sha256(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_parameter_stream():
+    """Every draw of 20 samples per entry at seed 7, at the default margin
+    and then at the 0.01 edge margin."""
+    rows = []
+    for margin in (None, 0.01):
+        for rec in sorted(catalog.all_entries(), key=lambda r: r.id):
+            if margin is not None:
+                rec = dataclasses.replace(rec, domain=dataclasses.replace(rec.domain, margin=margin))
+            rows += [(rec.id, i, list(catalog.sample_params(rec, 7, i).items())) for i in range(20)]
+    assert sha256(rows) == "435d2f78d61f497c44be753b903a6c27bbed9eff71ffc5d43f87d84c5ed18798"
+
+
+@pytest.mark.parametrize("samples, expected", [
+    (20, "5bc5f8361afc53d55e0ec526fd102eb18fbcdd314462b51149e0e66fe54b6699"),
+    (200, "386a80f38fd53f7c75a4a7fe62d3912ec823d25d99fe1267984c1b569c64c36d"),
+])
+def test_behaviour_fingerprint(samples, expected):
+    """The status and evaluation count of every outcome: a stop level that
+    moves in any row changes it."""
+    report = verify.verify_all(verify.RunConfig(seed=7, samples_per_entry=samples))
+    assert sha256([(o.entry_id, o.sample_index, o.status, o.evaluations)
+                   for o in report.outcomes]) == expected
+
+
+def environment():
+    """What the report's last bits depend on: numpy and the SIMD targets it
+    dispatches to on this CPU (integrand ufuncs), and the C library behind
+    ``math``.  Level sums are numpy reductions, so no BLAS is involved."""
+    features = _umath.__cpu_features__
+    return {
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "libc": platform.libc_ver(),
+        "cpu_baseline": tuple(_umath.__cpu_baseline__),
+        "cpu_dispatch": tuple(sorted(f for f in _umath.__cpu_dispatch__ if features.get(f))),
+    }
+
+
+REPORT_ENVIRONMENT = {
+    "numpy": "2.4.6",
+    "machine": "x86_64",
+    "libc": ("glibc", "2.36"),
+    "cpu_baseline": ("X86_V2",),
+    "cpu_dispatch": ("AVX512_ICL", "AVX512_SPR", "X86_V3", "X86_V4"),
+}
+REPORT_SHA256 = "378620930a3fc32ee39cb60ce60835234765a263b1740db5d03ce747987252cb"
+
+
+def test_default_report_bytes():
+    """sha256 of the report ``betaquad verify --seed 7`` writes."""
+    env = environment()
+    differs = {k: env[k] for k in REPORT_ENVIRONMENT if env[k] != REPORT_ENVIRONMENT[k]}
+    if differs:
+        pytest.skip(f"report bytes are pinned for {REPORT_ENVIRONMENT}; here {differs}")
+    cfg = verify.RunConfig(seed=7)
+    payload = verify.report_to_jsonl(verify.verify_all(cfg), verify.cross_check_consistency(cfg))
+    assert hashlib.sha256(payload.encode()).hexdigest() == REPORT_SHA256

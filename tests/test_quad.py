@@ -1,7 +1,10 @@
 """Quadrature engine behaviour: spot values, invariants, failure modes."""
 
 import dataclasses
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -392,9 +395,10 @@ class TestCallCounts:
 
 # --------------------------------------------------------------------------
 # reference evaluation: the scalar level-doubling loop, one integral at a
-# time, fed per-level tables concatenated afresh for every call, one np.dot
-# per level (per side where the sides have their own weights) and edges
-# taken per level.  The engines must match it bit for bit.
+# time, fed per-level tables concatenated afresh for every call, each level
+# (each side where the sides have their own weights) summed alone by the
+# engine's primitive, np.add.reduceat over w * f, and edges taken per level.
+# The engines must match it bit for bit.
 # --------------------------------------------------------------------------
 
 def reference_drive(level_sum, tol=TOL, max_level=quad.MAX_LEVEL):
@@ -462,6 +466,10 @@ def _ref_call(f, x, dlo, dhi):
     return out
 
 
+def _ref_sum(w, f):
+    return float(np.add.reduceat(w * f, [0])[0])
+
+
 def _ref_level_sum(transform, call, centre_w, scale=1.0):
     build, centre = quad._TRANSFORMS[transform]
 
@@ -479,14 +487,11 @@ def _ref_level_sum(transform, call, centre_w, scale=1.0):
             ia += a.size
             ib += b.size
             if wb is wa:
-                s = float(np.dot(wa, fa + fb)) * scale
+                s = _ref_sum(wa, fa + fb) * scale
                 edge = scale * wa[-1] * (abs(fa[-1]) + abs(fb[-1]))
             else:
-                s = 0.0
-                edge = 0.0
-                for f_side, w in ((fa, wa), (fb, wb)):
-                    s += float(np.dot(w, f_side))
-                    edge = max(edge, w[-1] * abs(f_side[-1]))
+                s = _ref_sum(wa, fa) + _ref_sum(wb, fb)
+                edge = max(wa[-1] * abs(fa[-1]), wb[-1] * abs(fb[-1]))
             out.append([s, wa.size + wb.size, edge])
         if first == 0:
             out[0][0] += centre_w * float(fv[-1])
@@ -613,6 +618,35 @@ class TestReferenceEvaluation:
         params = catalog.sample_params(edge, 7, 3)
         res = engine_integrate(rec.make_integrand(params), rec.make_spec(params))
         assert len(res.level_errors) == quad.MAX_LEVEL
+
+    def test_results_do_not_depend_on_blas_threads(self, package_env):
+        """The max-level rows above, in a child with one OpenBLAS thread and
+        in one with the default count (a single thread on a one-core
+        machine, where the test cannot tell the two apart).  BLAS splits a
+        dot product over its threads, which changes its summation order;
+        the level sums must not go through it."""
+        script = (
+            "import dataclasses, json\n"
+            "from betaquad import catalog, quad\n"
+            "found = []\n"
+            "for entry_id in ('3.192.3', '3.192.4'):\n"
+            "    rec = catalog.entry(entry_id)\n"
+            "    edge = dataclasses.replace(rec, domain=dataclasses.replace(rec.domain, margin=0.01))\n"
+            "    params = catalog.sample_params(edge, 7, 3)\n"
+            "    res = quad.integrate(rec.make_integrand(params), rec.make_spec(params))\n"
+            "    found.append((res.value.hex(), res.evaluations, res.status,\n"
+            "                  [e.hex() for e in res.level_errors]))\n"
+            "print(json.dumps(found))\n"
+        )
+        default = {k: v for k, v in package_env.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        runs = [
+            subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                           text=True, check=True).stdout
+            for env in (dict(default, OPENBLAS_NUM_THREADS="1"), default)
+        ]
+        assert all(len(levels) == quad.MAX_LEVEL for *_, levels in json.loads(runs[0]))
+        assert runs[0] == runs[1]
 
 
 # --------------------------------------------------------------------------
