@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from . import catalog, verify
 
@@ -82,16 +83,16 @@ def _cmd_verify(args):
     report = verify.verify_all(cfg)
     consistency = verify.cross_check_consistency(cfg) if cfg.entry_filter is None else None
 
-    if args.format == "json":
-        payload = verify.report_to_jsonl(report, consistency)
+    # the JSON report streams line by line: no copy of its text is held
+    if args.report is None:
+        sink = nullcontext(sys.stdout)
     else:
-        payload = verify.report_to_text(report, consistency)
-
-    if args.report is not None:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+        sink = open(args.report, "w", encoding="utf-8")
+    with sink as fh:
+        if args.format == "json":
+            verify.report_to_jsonl(report, consistency, fh)
+        else:
+            fh.write(verify.report_to_text(report, consistency))
 
     return 1 if verify.overall_verdict(report, consistency) == "fail" else 0
 

@@ -565,9 +565,10 @@ def integrate_rows(make_f, specs, tol: float = DEFAULT_TOL, make_folds=None) -> 
     pole count.  ``make_f(rows)`` returns the integrand of the rows indexed
     by the integer array ``rows``, with each parameter a (len(rows) x 1)
     column; ``make_folds(rows)``, when given, returns their PV window folds
-    the same way.  Each call evaluates one level block for every open row,
-    and every row gets exactly the result it gets alone: the one-row
-    engines are this function's one-row case.
+    the same way, one per pole (any other count raises ValueError).  Each
+    call evaluates one level block for every open row, and every row gets
+    exactly the result it gets alone: the one-row engines are this
+    function's one-row case.
 
     Returns one QuadratureResult per row, or the QuadratureError that row
     raised.  An exception raised by an integrand itself propagates.
@@ -650,14 +651,13 @@ def integrate_pv(f, spec: IntegralSpec, tol: float = DEFAULT_TOL, folds=None) ->
     int_0^h [f(s+u) + f(s-u)] du, where h is half the distance to the
     nearest other singularity or finite endpoint (1.0 against an infinite
     endpoint).  ``folds``, when given, maps each pole (in ascending order)
-    to an exact folded integrand u -> f(s+u)+f(s-u); exact folds avoid the
-    cancellation floor of the default pairing.  Remaining sub-intervals go
-    to the plain engines; estimates and evaluation counts add up.
+    to an exact folded integrand u -> f(s+u)+f(s-u), one per pole; exact
+    folds avoid the cancellation floor of the default pairing.  Remaining
+    sub-intervals go to the plain engines; estimates and evaluation counts
+    add up.
     """
     if not spec.poles:
         raise ValueError("integrate_pv requires at least one declared pole")
-    if folds is not None and len(folds) != len(spec.poles):
-        raise ValueError("folds must align with spec.poles")
     make_folds = None if folds is None else (lambda rows: folds)
     return _one(integrate_rows(lambda rows: f, [spec], tol, make_folds))
 
@@ -713,7 +713,10 @@ def _pv_rows(make_f, kind, lo, hi, pole, tol, make_folds):
     for i in range(npoles):
         def window(rows, i=i):
             if make_folds is not None:
-                fold = make_folds(rows)[i]
+                folds = make_folds(rows)
+                if len(folds) != npoles:
+                    raise ValueError("folds must align with spec.poles")
+                fold = folds[i]
             else:
                 fold = _naive_fold(make_f(rows), pole[rows, i:i + 1], lo[rows], hi[rows])
             clamp = _FOLD_CLAMP * half[rows, i:i + 1]

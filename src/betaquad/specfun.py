@@ -47,6 +47,7 @@ _LANCZOS_COEF = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+_C0, _C1, _C2, _C3, _C4, _C5, _C6, _C7, _C8 = _LANCZOS_COEF
 
 # B_{2n}/(2n) for 2n = 2..14, the digamma asymptotic tail.
 _DIGAMMA_TAIL = (
@@ -70,10 +71,12 @@ def _is_nonpositive_integer(x):
 
 
 def _lanczos_series(x):
-    s = _LANCZOS_COEF[0]
-    for k in range(1, len(_LANCZOS_COEF)):
-        s += _LANCZOS_COEF[k] / (x - 1.0 + k)
-    return s
+    # c0 + sum_k c_k / (x - 1 + k), the sum written out in index order
+    y = x - 1.0
+    return (
+        _C0 + _C1 / (y + 1.0) + _C2 / (y + 2.0) + _C3 / (y + 3.0) + _C4 / (y + 4.0)
+        + _C5 / (y + 5.0) + _C6 / (y + 6.0) + _C7 / (y + 7.0) + _C8 / (y + 8.0)
+    )
 
 
 def _gamma_lanczos(x):

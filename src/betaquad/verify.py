@@ -348,46 +348,54 @@ def overall_verdict(report: VerificationReport, consistency: ConsistencyReport |
     return "pass"
 
 
-def report_to_jsonl(report: VerificationReport, consistency: ConsistencyReport | None = None) -> str:
+def report_to_jsonl(
+    report: VerificationReport, consistency: ConsistencyReport | None = None, fh=None
+) -> str | None:
     """JSON lines: one outcome per line, then one summary object.
 
-    Timing fields are zeroed so identical configurations yield
-    byte-identical reports.
+    Without ``fh`` the report is returned as one string.  Given an open
+    text file (any object with ``writelines``), it is written there line
+    by line and None is returned, so memory grows with the outcomes, not
+    with the report text.  Both forms hold the same characters.  Timing
+    fields are zeroed so identical configurations yield byte-identical
+    reports.
     """
+    lines = _jsonl_lines(report, consistency)
+    if fh is None:
+        return "".join(lines)
+    fh.writelines(lines)
+    return None
+
+
+def _jsonl_lines(report, consistency):
     import json
 
-    lines = []
     for o in report.outcomes:
-        lines.append(
-            json.dumps(
-                {
-                    "entry_id": o.entry_id,
-                    "sample_index": o.sample_index,
-                    "params": o.params,
-                    "numeric": o.numeric,
-                    "closed": o.closed,
-                    "abs_err": o.abs_err,
-                    "rel_err": o.rel_err,
-                    "evaluations": o.evaluations,
-                    "status": o.status,
-                    "elapsed": 0.0,
-                }
-            )
-        )
-    lines.append(
-        json.dumps(
+        yield json.dumps(
             {
-                "entries": report.entries,
-                "outcomes": len(report.outcomes),
-                "passes": report.passes,
-                "failures": report.failures,
-                "worst_rel_err": report.worst_rel_err,
-                "wall_ms": 0.0,
-                "verdict": overall_verdict(report, consistency),
+                "entry_id": o.entry_id,
+                "sample_index": o.sample_index,
+                "params": o.params,
+                "numeric": o.numeric,
+                "closed": o.closed,
+                "abs_err": o.abs_err,
+                "rel_err": o.rel_err,
+                "evaluations": o.evaluations,
+                "status": o.status,
+                "elapsed": 0.0,
             }
-        )
-    )
-    return "\n".join(lines) + "\n"
+        ) + "\n"
+    yield json.dumps(
+        {
+            "entries": report.entries,
+            "outcomes": len(report.outcomes),
+            "passes": report.passes,
+            "failures": report.failures,
+            "worst_rel_err": report.worst_rel_err,
+            "wall_ms": 0.0,
+            "verdict": overall_verdict(report, consistency),
+        }
+    ) + "\n"
 
 
 def report_to_text(report: VerificationReport, consistency: ConsistencyReport | None = None) -> str:

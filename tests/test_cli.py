@@ -61,6 +61,23 @@ class TestVerifyCommand:
         assert len(lines) == 4
         assert json.loads(lines[-1])["outcomes"] == 3
 
+    def test_report_bytes_match_the_string_form(self, capsys, tmp_path):
+        # the file and stdout get what report_to_jsonl returns as a string
+        cfg = verify.RunConfig(seed=7, samples_per_entry=2)
+        expected = verify.report_to_jsonl(verify.verify_all(cfg), verify.cross_check_consistency(cfg))
+        path = tmp_path / "report.jsonl"
+        assert run(["verify", "--samples", "2", "--seed", "7", "--report", str(path)]) == 0
+        assert path.read_bytes() == expected.encode()
+        assert capsys.readouterr().out == ""
+        assert run(["verify", "--samples", "2", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_report_in_missing_directory_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.jsonl"
+        assert run(["verify", "--id", "3.191.3", "--samples", "1", "--report", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not path.parent.exists()
+
     def test_text_format(self, capsys):
         assert run(
             ["verify", "--id", "3.191.3", "--samples", "2", "--format", "text"]

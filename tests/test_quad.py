@@ -871,6 +871,20 @@ class TestBatchedRows:
 
             assert bits(found[i]) == bits(quad.integrate_finite(alone, specs[i], TOL))
 
+    @pytest.mark.parametrize("nfolds", [1, 3])
+    def test_fold_count_must_match_poles(self, nfolds):
+        # two poles, one or three folds: the batch and the lone call reject
+        # it with the same error before any fold is evaluated
+        def fold(u):
+            raise AssertionError("fold evaluated despite a bad fold count")
+
+        spec = IntegralSpec.finite(0.0, 3.0, poles=(0.5, 2.0))
+        folds = (fold,) * nfolds
+        with pytest.raises(ValueError, match="^folds must align with spec.poles$"):
+            quad.integrate_rows(lambda r: _never_called, [spec, spec], TOL, lambda r: folds)
+        with pytest.raises(ValueError, match="^folds must align with spec.poles$"):
+            quad.integrate_pv(_never_called, spec, TOL, folds=folds)
+
     def test_non_finite_pv_row_fails_alone(self):
         # PV without folds: row 1 returns NaN, and only that row fails
         c = np.array([[1.0], [2.0], [0.5]])

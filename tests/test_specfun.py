@@ -7,6 +7,7 @@ correction, accumulated with math.fsum at N = 4e6).
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -188,3 +189,18 @@ class TestResiduals:
             sf.reflection_residual(1.5)
         with pytest.raises(ValueError):
             sf.duplication_residual(-1.0)
+
+
+def lanczos_loop(x):
+    """The Lanczos series as an index loop, the reference for the written-out sum."""
+    s = sf._LANCZOS_COEF[0]
+    for k in range(1, len(sf._LANCZOS_COEF)):
+        s += sf._LANCZOS_COEF[k] / (x - 1.0 + k)
+    return s
+
+
+def test_lanczos_series_bit_identical_to_loop():
+    rng = random.Random(20061)
+    xs = [rng.uniform(0.5, 21.0) for _ in range(50_000)]
+    xs += [0.5, math.nextafter(0.5, 1.0), 1.0, 2.0, 10.5, 11.5, math.nextafter(21.0, 0.0), 21.0]
+    assert [sf._lanczos_series(x).hex() for x in xs] == [lanczos_loop(x).hex() for x in xs]

@@ -1,10 +1,12 @@
 """Verification harness: outcome semantics, determinism, serialization."""
 
 import dataclasses
+import io
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +141,20 @@ class TestVerifyEntry:
 
         outcomes = verify.verify_entry(dataclasses.replace(rec, make_integrand=make_integrand), cfg)
         assert [o.status for o in outcomes] == ["pass", "sample_error", "pass"]
+
+    @pytest.mark.parametrize("nfolds", [1, 3])
+    def test_wrong_fold_count_makes_sample_errors(self, nfolds):
+        # 3.223.3 has two poles; a fold factory returning another count is
+        # a sample error for each sample, not an exception out of the run
+        rec = catalog.entry("3.223.3")
+        cfg = verify.RunConfig(seed=7, samples_per_entry=3)
+
+        def make_folds(p):
+            folds = rec.make_folds(p)
+            return (folds * 2)[:nfolds]
+
+        outcomes = verify.verify_entry(dataclasses.replace(rec, make_folds=make_folds), cfg)
+        assert [o.status for o in outcomes] == ["sample_error"] * 3
 
 
 class TestVerifyAll:
@@ -297,3 +313,46 @@ class TestSerialization:
         summary = json.loads(verify.report_to_jsonl(report, fake).strip().split("\n")[-1])
         assert summary["verdict"] == "fail"
         assert "verdict=fail" in verify.report_to_text(report, fake)
+
+
+@pytest.fixture(scope="module")
+def default_run():
+    """The seed-7 default run and its consistency report."""
+    cfg = verify.RunConfig(seed=7)
+    return verify.verify_all(cfg), verify.cross_check_consistency(cfg)
+
+
+class _DropLines:
+    """A text sink that reads each line and keeps none."""
+
+    def writelines(self, lines):
+        for _ in lines:
+            pass
+
+
+class TestStreamedReport:
+    def test_file_gets_the_string_form(self, default_run, tmp_path):
+        text = verify.report_to_jsonl(*default_run)
+        buffer = io.StringIO()
+        assert verify.report_to_jsonl(*default_run, buffer) is None
+        assert buffer.getvalue() == text
+        path = tmp_path / "report.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            assert verify.report_to_jsonl(*default_run, fh=fh) is None
+        assert path.read_bytes() == text.encode()
+
+    def test_streaming_holds_no_report_text(self, default_run):
+        # the string form holds all of the text at once; the stream holds
+        # about one line
+        size = len(verify.report_to_jsonl(*default_run))
+        tracemalloc.start()
+        try:
+            verify.report_to_jsonl(*default_run, _DropLines())
+            streamed = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            verify.report_to_jsonl(*default_run)
+            joined = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert streamed < size / 16
+        assert joined > size
