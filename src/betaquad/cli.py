@@ -80,21 +80,24 @@ def _cmd_verify(args):
         entry_filter=tuple(args.ids) if args.ids else None,
         parallelism=args.jobs,
     )
-    report = verify.verify_all(cfg)
-    consistency = verify.cross_check_consistency(cfg) if cfg.entry_filter is None else None
+    entries = verify._selected_entries(cfg)  # an unknown --id fails before the sink opens
 
-    # the JSON report streams line by line: no copy of its text is held
+    # each entry's lines are written as soon as it is verified; only running
+    # totals outlive the entry
     if args.report is None:
         sink = nullcontext(sys.stdout)
     else:
         sink = open(args.report, "w", encoding="utf-8")
     with sink as fh:
-        if args.format == "json":
-            verify.report_to_jsonl(report, consistency, fh)
-        else:
-            fh.write(verify.report_to_text(report, consistency))
+        if args.format == "text":
+            fh.write(verify._TEXT_HEADER)
+        totals = {}
+        for outcomes in verify._entry_outcomes(entries, cfg, totals):
+            fh.writelines(verify._outcome_lines(outcomes, args.format))
+        consistency = verify.cross_check_consistency(cfg) if cfg.entry_filter is None else None
+        fh.writelines(verify._summary_lines(args.format, totals, consistency))
 
-    return 1 if verify.overall_verdict(report, consistency) == "fail" else 0
+    return 1 if verify._verdict(totals["failures"], consistency) == "fail" else 0
 
 
 def run(argv) -> int:

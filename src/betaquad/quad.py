@@ -91,8 +91,13 @@ class PoleWindowError(QuadratureError):
     """No symmetric window fits around a declared principal-value pole."""
 
 
-def _finite(v):
-    return v is not None and math.isfinite(v)
+# which ends of each domain kind are finite: (lower, upper)
+_FINITE_ENDS = {
+    "finite": (True, True),
+    "half_line_up": (True, False),
+    "half_line_down": (False, True),
+    "real_line": (False, False),
+}
 
 
 @dataclass(frozen=True)
@@ -117,30 +122,38 @@ class IntegralSpec:
     poles: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("finite", "half_line_up", "half_line_down", "real_line"):
+        ends = _FINITE_ENDS.get(self.kind)
+        if ends is None:
             raise ValueError(f"unknown domain kind {self.kind!r}")
+        lo, hi = self.lo, self.hi
         if not (self.alpha_lo > -1.0 and self.alpha_hi > -1.0):  # NaN fails too
             raise ValueError("endpoint exponents must exceed -1 for integrability")
-        for name, end, alpha, finite_in in (
-            ("lower", self.lo, self.alpha_lo, ("finite", "half_line_up")),
-            ("upper", self.hi, self.alpha_hi, ("finite", "half_line_down")),
+        for name, end, alpha, finite in (
+            ("lower", lo, self.alpha_lo, ends[0]),
+            ("upper", hi, self.alpha_hi, ends[1]),
         ):
-            if self.kind in finite_in and not _finite(end):
-                raise ValueError(f"{self.kind} requires a finite {name} endpoint")
-            if self.kind not in finite_in and (end is not None or alpha != 0.0):
+            if finite:
+                if end is None or not math.isfinite(end):
+                    raise ValueError(f"{self.kind} requires a finite {name} endpoint")
+            elif end is not None or alpha != 0.0:
                 raise ValueError(f"{self.kind} takes no {name} endpoint or exponent (infinite end)")
-        if self.kind == "finite" and not self.lo < self.hi:
-            raise ValueError("finite domain requires lo < hi")
-        if self.kind == "finite" and not math.isfinite(self.hi - self.lo):
-            raise ValueError("finite domain width hi - lo overflows")
-        lo = self.lo if self.lo is not None else -math.inf
-        hi = self.hi if self.hi is not None else math.inf
-        if len(set(self.poles)) != len(self.poles):
+        if self.kind == "finite":
+            if not lo < hi:
+                raise ValueError("finite domain requires lo < hi")
+            if not math.isfinite(hi - lo):
+                raise ValueError("finite domain width hi - lo overflows")
+        poles = self.poles
+        if not len(poles):  # nothing to check
+            object.__setattr__(self, "poles", ())
+            return
+        if len(set(poles)) != len(poles):
             raise ValueError("interior poles must be pairwise distinct")
-        for s in self.poles:
+        lo = lo if lo is not None else -math.inf
+        hi = hi if hi is not None else math.inf
+        for s in poles:
             if not lo < s < hi:
                 raise ValueError(f"pole {s!r} is not strictly inside ({lo}, {hi})")
-        object.__setattr__(self, "poles", tuple(sorted(self.poles)))
+        object.__setattr__(self, "poles", tuple(sorted(poles)))
 
     # convenience constructors -------------------------------------------
     @classmethod

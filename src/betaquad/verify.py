@@ -12,10 +12,18 @@ object).  Timing fields are canonicalized to 0.0 in the JSON form so that
 reruns with identical flags are byte-identical regardless of wall clock;
 the text form shows real timings.  Entries run one after another in one
 thread; ``RunConfig.parallelism`` is validated but has no effect.
+
+A report is built from three private pieces: ``_entry_outcomes`` yields
+each entry's outcomes as soon as the entry is verified,
+``_outcome_lines`` formats one entry's outcomes and ``_summary_lines``
+formats the summary from totals.  ``verify_all``, ``report_to_jsonl`` and
+``report_to_text`` are built on them, and so is the CLI, which writes each
+entry's lines before it verifies the next and keeps only running totals.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import random
@@ -211,18 +219,42 @@ def _selected_entries(cfg):
     return [catalog.entry(eid) for eid in sorted(set(cfg.entry_filter))]
 
 
+def _entry_outcomes(entries, cfg, totals):
+    """Each entry's outcomes, in sample-index order, as soon as the entry is
+    verified; entries in the order given.  ``totals`` is filled with the
+    summary's counts, keyed as ``_totals`` keys them, and kept up to date
+    entry by entry; its wall_ms is the sum of the outcomes' elapsed_ms."""
+    totals.update(
+        entries=len(entries), outcomes=0, passes=0, failures=0, worst_rel_err=0.0, wall_ms=0.0
+    )
+    for rec in entries:
+        outcomes = _verify_rows(rec, cfg)
+        for o in outcomes:
+            totals["passes" if o.status == "pass" else "failures"] += 1
+            if math.isfinite(o.rel_err):
+                totals["worst_rel_err"] = max(totals["worst_rel_err"], o.rel_err)
+            totals["wall_ms"] += o.elapsed_ms
+        totals["outcomes"] += len(outcomes)
+        yield outcomes
+
+
 def verify_all(cfg: RunConfig) -> VerificationReport:
-    """Verify the (filtered) roster; deterministic for a fixed config."""
+    """Verify the (filtered) roster; deterministic for a fixed config.
+
+    The report holds every outcome of the run.  The CLI instead writes
+    each entry's outcomes as ``_entry_outcomes`` yields them and keeps
+    only the running totals.
+    """
     start = time.perf_counter()
     entries = _selected_entries(cfg)
+    totals = {}
     # entries in sorted-id order, each in sample-index order
-    results = [o for rec in entries for o in _verify_rows(rec, cfg)]
-
-    passes = sum(1 for o in results if o.status == "pass")
-    failures = len(results) - passes
-    worst = max((o.rel_err for o in results if math.isfinite(o.rel_err)), default=0.0)
+    results = [o for outcomes in _entry_outcomes(entries, cfg, totals) for o in outcomes]
     wall_ms = 1e3 * (time.perf_counter() - start)
-    return VerificationReport(results, len(entries), passes, failures, worst, wall_ms)
+    return VerificationReport(
+        results, len(entries), totals["passes"], totals["failures"], totals["worst_rel_err"],
+        wall_ms,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -301,7 +333,10 @@ def _check_duplication_chain(cfg):
 
 
 def _check_fake_parameter(cfg, entry_id, fake_name):
+    """A sample error fails the check, with its text in ``detail``."""
     rec = catalog.entry(entry_id)
+    name = f"fake-parameter-{entry_id}"
+    detail = f"{cfg.samples_per_entry} p-samples, two {fake_name}-draws each vs pi cot(pi p)"
     worst_pair = 0.0
     worst_closed = 0.0
     ok = True
@@ -317,24 +352,22 @@ def _check_fake_parameter(cfg, entry_id, fake_name):
         alt["p"] = params["p"]
         draws.append(params)
         alts.append(alt)
-    found = [_batch(rec, ps, [rec.make_spec(p) for p in ps]) for ps in (draws, alts)]
-    for params, r1, r2 in zip(draws, *found):
-        for res in (r1, r2):
-            if isinstance(res, Exception):
-                raise res
-        closed = catalog.closed_form_value(rec, params)
-        pair = abs(r1.value - r2.value)
-        rel = abs(r1.value - closed) / max(abs(closed), REL_ERR_FLOOR)
-        worst_pair = max(worst_pair, pair)
-        worst_closed = max(worst_closed, rel)
-        if pair > 2e-7 or rel > 1e-7 or not (r1.converged and r2.converged):
-            ok = False
-    return ConsistencyCheck(
-        f"fake-parameter-{entry_id}",
-        ok,
-        max(worst_pair, worst_closed),
-        f"{cfg.samples_per_entry} p-samples, two {fake_name}-draws each vs pi cot(pi p)",
-    )
+    try:
+        found = [_batch(rec, ps, [rec.make_spec(p) for p in ps]) for ps in (draws, alts)]
+        for params, r1, r2 in zip(draws, *found):
+            for res in (r1, r2):
+                if isinstance(res, Exception):
+                    raise res
+            closed = catalog.closed_form_value(rec, params)
+            pair = abs(r1.value - r2.value)
+            rel = abs(r1.value - closed) / max(abs(closed), REL_ERR_FLOOR)
+            worst_pair = max(worst_pair, pair)
+            worst_closed = max(worst_closed, rel)
+            if pair > 2e-7 or rel > 1e-7 or not (r1.converged and r2.converged):
+                ok = False
+    except _SAMPLE_ERRORS as exc:
+        return ConsistencyCheck(name, False, math.nan, f"{detail}: {type(exc).__name__}: {exc}")
+    return ConsistencyCheck(name, ok, max(worst_pair, worst_closed), detail)
 
 
 # --------------------------------------------------------------------------
@@ -343,9 +376,12 @@ def _check_fake_parameter(cfg, entry_id, fake_name):
 
 def overall_verdict(report: VerificationReport, consistency: ConsistencyReport | None = None) -> str:
     """'pass' when every outcome passed and every consistency check, if any ran."""
-    if report.verdict == "fail" or (consistency is not None and consistency.verdict == "fail"):
-        return "fail"
-    return "pass"
+    return _verdict(report.failures, consistency)
+
+
+def _verdict(failures, consistency):
+    failed = failures or (consistency is not None and consistency.verdict == "fail")
+    return "fail" if failed else "pass"
 
 
 def report_to_jsonl(
@@ -355,86 +391,107 @@ def report_to_jsonl(
 
     Without ``fh`` the report is returned as one string.  Given an open
     text file (any object with ``writelines``), it is written there line
-    by line and None is returned, so memory grows with the outcomes, not
-    with the report text.  Both forms hold the same characters.  Timing
-    fields are zeroed so identical configurations yield byte-identical
-    reports.
+    by line and None is returned, so no copy of the report text is held.
+    Both forms hold the same characters.  Timing fields are zeroed so
+    identical configurations yield byte-identical reports.  The report
+    itself holds every outcome of the run; the CLI writes the same lines
+    entry by entry instead, with the summary from running totals.
     """
-    lines = _jsonl_lines(report, consistency)
+    lines = itertools.chain(
+        _outcome_lines(report.outcomes, "json"),
+        _summary_lines("json", _totals(report), consistency),
+    )
     if fh is None:
         return "".join(lines)
     fh.writelines(lines)
     return None
 
 
-def _jsonl_lines(report, consistency):
-    import json
-
-    for o in report.outcomes:
-        yield json.dumps(
-            {
-                "entry_id": o.entry_id,
-                "sample_index": o.sample_index,
-                "params": o.params,
-                "numeric": o.numeric,
-                "closed": o.closed,
-                "abs_err": o.abs_err,
-                "rel_err": o.rel_err,
-                "evaluations": o.evaluations,
-                "status": o.status,
-                "elapsed": 0.0,
-            }
-        ) + "\n"
-    yield json.dumps(
-        {
-            "entries": report.entries,
-            "outcomes": len(report.outcomes),
-            "passes": report.passes,
-            "failures": report.failures,
-            "worst_rel_err": report.worst_rel_err,
-            "wall_ms": 0.0,
-            "verdict": overall_verdict(report, consistency),
-        }
-    ) + "\n"
-
-
 def report_to_text(report: VerificationReport, consistency: ConsistencyReport | None = None) -> str:
     """Fixed-width per-entry summary table with real timings."""
-    rows = {}
+    by_entry = {}
     for o in report.outcomes:
-        row = rows.setdefault(
-            o.entry_id, {"n": 0, "pass": 0, "worst": 0.0, "status": "ok", "ms": 0.0}
-        )
-        row["n"] += 1
-        row["ms"] += o.elapsed_ms
-        if o.status == "pass":
-            row["pass"] += 1
-        else:
-            row["status"] = o.status if o.status != "fail" else "FAIL"
-        if math.isfinite(o.rel_err):
-            row["worst"] = max(row["worst"], o.rel_err)
+        by_entry.setdefault(o.entry_id, []).append(o)
+    lines = [_TEXT_HEADER]
+    for eid in sorted(by_entry):
+        lines.extend(_outcome_lines(by_entry[eid], "text"))
+    lines.extend(_summary_lines("text", _totals(report), consistency))
+    return "".join(lines)
 
-    lines = [
-        f"{'entry':<16} {'class':<16} {'samples':>7} {'passed':>7} {'worst_rel':>12} {'ms':>9}  status"
-    ]
-    for eid in sorted(rows):
-        rec = catalog.entry(eid)
-        row = rows[eid]
-        lines.append(
-            f"{eid:<16} {rec.tolerance_class:<16} {row['n']:>7d} {row['pass']:>7d} "
-            f"{row['worst']:>12.3e} {row['ms']:>9.1f}  {row['status']}"
-        )
+
+_TEXT_HEADER = (
+    f"{'entry':<16} {'class':<16} {'samples':>7} {'passed':>7} {'worst_rel':>12} {'ms':>9}  status\n"
+)
+
+
+def _outcome_lines(outcomes, fmt):
+    """Report lines of one entry's outcomes: with fmt "json" one object per
+    outcome, timing zeroed; with "text" the entry's row of the table."""
+    if fmt == "json":
+        import json
+
+        for o in outcomes:
+            yield json.dumps(
+                {
+                    "entry_id": o.entry_id,
+                    "sample_index": o.sample_index,
+                    "params": o.params,
+                    "numeric": o.numeric,
+                    "closed": o.closed,
+                    "abs_err": o.abs_err,
+                    "rel_err": o.rel_err,
+                    "evaluations": o.evaluations,
+                    "status": o.status,
+                    "elapsed": 0.0,
+                }
+            ) + "\n"
+        return
+    passes, worst, ms, status = 0, 0.0, 0.0, "ok"
+    for o in outcomes:
+        ms += o.elapsed_ms
+        if o.status == "pass":
+            passes += 1
+        else:
+            status = o.status if o.status != "fail" else "FAIL"
+        if math.isfinite(o.rel_err):
+            worst = max(worst, o.rel_err)
+    eid = outcomes[0].entry_id
+    yield (
+        f"{eid:<16} {catalog.entry(eid).tolerance_class:<16} {len(outcomes):>7d} {passes:>7d} "
+        f"{worst:>12.3e} {ms:>9.1f}  {status}\n"
+    )
+
+
+def _totals(report):
+    """The summary's counts of a whole report, keyed in summary order."""
+    return {
+        "entries": report.entries,
+        "outcomes": len(report.outcomes),
+        "passes": report.passes,
+        "failures": report.failures,
+        "worst_rel_err": report.worst_rel_err,
+        "wall_ms": report.wall_ms,
+    }
+
+
+def _summary_lines(fmt, totals, consistency):
+    """The lines after the last outcome: the JSON summary object (wall_ms
+    zeroed), or the text form's consistency checks and summary line.
+    ``totals`` holds the summary's counts as ``_totals`` keys them."""
+    verdict = _verdict(totals["failures"], consistency)
+    if fmt == "json":
+        import json
+
+        yield json.dumps({**totals, "wall_ms": 0.0, "verdict": verdict}) + "\n"
+        return
     if consistency is not None:
-        lines.append("")
-        lines.append("consistency checks:")
+        yield "\nconsistency checks:\n"
         for c in consistency.checks:
             mark = "pass" if c.passed else "FAIL"
-            lines.append(f"  {c.name:<28} {mark}  worst={c.worst:.3e}  ({c.detail})")
-    lines.append("")
-    lines.append(
-        f"summary: entries={report.entries} outcomes={len(report.outcomes)} "
-        f"passes={report.passes} failures={report.failures} "
-        f"worst_rel_err={report.worst_rel_err:.3e} wall_ms={report.wall_ms:.1f} "
-        f"verdict={overall_verdict(report, consistency)}"
+            yield f"  {c.name:<28} {mark}  worst={c.worst:.3e}  ({c.detail})\n"
+    yield (
+        f"\nsummary: entries={totals['entries']} outcomes={totals['outcomes']} "
+        f"passes={totals['passes']} failures={totals['failures']} "
+        f"worst_rel_err={totals['worst_rel_err']:.3e} wall_ms={totals['wall_ms']:.1f} "
+        f"verdict={verdict}\n"
     )
-    return "\n".join(lines) + "\n"

@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, exit codes, report files."""
 
+import dataclasses
+import gc
 import json
+import re
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from betaquad import catalog, verify
@@ -78,6 +82,47 @@ class TestVerifyCommand:
         assert "error" in capsys.readouterr().err
         assert not path.parent.exists()
 
+    def test_unknown_id_creates_no_report(self, capsys, tmp_path):
+        # entries are resolved before the report file is opened
+        path = tmp_path / "report.jsonl"
+        assert run(["verify", "--id", "nope", "--report", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_holds_one_entry_of_outcomes(self, capsys, monkeypatch):
+        # each entry's lines are written before the next entry runs, so when
+        # the consistency suite starts at most one entry's outcomes are alive
+        def alive():
+            gc.collect()
+            return sum(isinstance(o, verify.VerificationOutcome) for o in gc.get_objects())
+
+        before = alive()
+        seen = []
+        check = verify.cross_check_consistency
+
+        def counting(cfg):
+            seen.append(alive() - before)
+            return check(cfg)
+
+        monkeypatch.setattr(verify, "cross_check_consistency", counting)
+        assert run(["verify", "--samples", "3"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3 * catalog.EXPECTED_ENTRY_COUNT + 1
+        assert len(seen) == 1 and seen[0] <= 3
+
+    def test_text_format_matches_report_to_text(self, capsys):
+        # the streamed table equals the one built from a whole report, up to
+        # the timings: each entry's ms column and the summary's wall_ms
+        def masked(text):
+            text = re.sub(r"wall_ms=\S+", "wall_ms=*", text)
+            return re.sub(r"(?m)^(.{62}) +\d+\.\d(  \S+)$", r"\1 *\2", text)
+
+        cfg = verify.RunConfig(seed=7, samples_per_entry=2)
+        expected = verify.report_to_text(verify.verify_all(cfg), verify.cross_check_consistency(cfg))
+        assert run(["verify", "--samples", "2", "--seed", "7", "--format", "text"]) == 0
+        out = capsys.readouterr().out
+        assert masked(out).count(" *  ") == catalog.EXPECTED_ENTRY_COUNT
+        assert masked(out) == masked(expected)
+
     def test_text_format(self, capsys):
         assert run(
             ["verify", "--id", "3.191.3", "--samples", "2", "--format", "text"]
@@ -126,6 +171,38 @@ class TestVerifyCommand:
         summary = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
         assert code == 1
         assert summary["failures"] == 0 and summary["verdict"] == "fail"
+
+    @pytest.mark.parametrize("where", ["row", "batch"])
+    def test_fake_parameter_sample_error_fails_the_check(self, capsys, tmp_path, monkeypatch, where):
+        # an error in one sample of the 3.217 check (a NaN integrand value),
+        # or in its whole batch, fails that check; the report is complete
+        rec = catalog.entry("3.217")
+        bad_b = catalog.sample_params(rec, 7, 0)["b"]
+
+        def make_integrand(p):
+            if where == "batch":
+                raise ValueError("integrand unavailable")
+            f = rec.make_integrand(p)
+            return lambda x, dlo, dhi: np.where(p["b"] == bad_b, np.nan, f(x, dlo, dhi))
+
+        broken = dataclasses.replace(rec, make_integrand=make_integrand)
+        entry = catalog.entry
+        monkeypatch.setattr(catalog, "entry", lambda eid: broken if eid == "3.217" else entry(eid))
+        path = tmp_path / "report.jsonl"
+        assert run(["verify", "--samples", "2", "--seed", "7", "--report", str(path)]) == 1
+        lines = path.read_text().splitlines()
+        summary = json.loads(lines[-1])
+        assert len(lines) == summary["outcomes"] + 1 == 2 * catalog.EXPECTED_ENTRY_COUNT + 1
+        assert summary["failures"] == 0 and summary["verdict"] == "fail"
+        capsys.readouterr()
+
+        report = verify.cross_check_consistency(verify.RunConfig(seed=7))
+        checks = {c.name: c for c in report.checks}
+        failed = checks["fake-parameter-3.217"]
+        assert not failed.passed
+        error = "EvaluationError" if where == "row" else "ValueError: integrand unavailable"
+        assert error in failed.detail
+        assert all(c.passed for name, c in checks.items() if name != "fake-parameter-3.217")
 
 
 class TestConsoleScript:

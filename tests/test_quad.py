@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -22,42 +23,51 @@ def beta_ref(a, b):
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
+def rejects(message):
+    """pytest.raises for a ValueError with exactly this message."""
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+
 class TestSpecValidation:
     def test_exponents_must_be_integrable(self):
-        with pytest.raises(ValueError):
+        with rejects("endpoint exponents must exceed -1 for integrability"):
             IntegralSpec.finite(0.0, 1.0, alpha_lo=-1.0)
 
     def test_finite_needs_ordered_endpoints(self):
-        with pytest.raises(ValueError):
+        with rejects("finite domain requires lo < hi"):
             IntegralSpec.finite(1.0, 1.0)
 
     def test_pole_strictly_inside(self):
-        with pytest.raises(ValueError):
+        with rejects("pole 1.0 is not strictly inside (0.0, 1.0)"):
             IntegralSpec.finite(0.0, 1.0, poles=(1.0,))
-        with pytest.raises(ValueError):
+        with rejects("pole -2.0 is not strictly inside (0.0, inf)"):
             IntegralSpec.half_line_up(0.0, poles=(-2.0,))
+        with rejects("pole 0.0 is not strictly inside (-inf, 0.0)"):
+            IntegralSpec.half_line_down(0.0, poles=(-1.0, 0.0))
 
     def test_poles_distinct_and_sorted(self):
-        with pytest.raises(ValueError):
+        with rejects("interior poles must be pairwise distinct"):
             IntegralSpec.finite(0.0, 3.0, poles=(1.0, 1.0))
         spec = IntegralSpec.finite(0.0, 3.0, poles=(2.0, 1.0))
         assert spec.poles == (1.0, 2.0)
+        assert IntegralSpec("real_line", poles=[]).poles == ()
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with rejects("unknown domain kind 'circle'"):
             IntegralSpec("circle")
 
     @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)])
     def test_finite_endpoints_must_be_finite(self, lo, hi):
-        with pytest.raises(ValueError):
+        end = "upper" if math.isfinite(lo) else "lower"
+        with rejects(f"finite requires a finite {end} endpoint"):
             IntegralSpec.finite(lo, hi)
 
     def test_half_line_anchor_must_be_finite(self):
-        with pytest.raises(ValueError):
+        with rejects("half_line_up requires a finite lower endpoint"):
             IntegralSpec.half_line_up(math.inf)
-        with pytest.raises(ValueError):
+        with rejects("half_line_down requires a finite upper endpoint"):
             IntegralSpec.half_line_down(-math.inf)
-        with pytest.raises(ValueError):
+        with rejects("half_line_up requires a finite lower endpoint"):
             IntegralSpec.half_line_up(math.nan)
 
     @pytest.mark.parametrize("kind, fields", [
@@ -72,18 +82,23 @@ class TestSpecValidation:
     ])
     def test_infinite_end_takes_no_endpoint_or_exponent(self, kind, fields):
         # e.g. a half_line_up hi would be ignored, not integrate over [lo, hi]
-        with pytest.raises(ValueError, match="infinite end"):
+        infinite = {"half_line_up": ("hi",), "half_line_down": ("lo",), "real_line": ("lo", "hi")}
+        end = next(  # the message names the infinite end that the fields set
+            "lower" if e == "lo" else "upper"
+            for e in infinite[kind] if e in fields or f"alpha_{e}" in fields
+        )
+        with rejects(f"{kind} takes no {end} endpoint or exponent (infinite end)"):
             IntegralSpec(kind, **fields)
 
     def test_finite_width_must_not_overflow(self):
         # hi - lo would be inf: the engines' interval length
-        with pytest.raises(ValueError, match="overflows"):
+        with rejects("finite domain width hi - lo overflows"):
             IntegralSpec.finite(-1e308, 1e308)
 
     def test_nan_exponent_rejected(self):
-        with pytest.raises(ValueError):
+        with rejects("endpoint exponents must exceed -1 for integrability"):
             IntegralSpec.finite(0.0, 1.0, alpha_lo=math.nan)
-        with pytest.raises(ValueError):
+        with rejects("endpoint exponents must exceed -1 for integrability"):
             IntegralSpec.half_line_down(0.0, alpha_hi=math.nan)
 
 
