@@ -16,7 +16,6 @@ Public operations:
 
 from __future__ import annotations
 
-import difflib
 import hashlib
 import json
 import math
@@ -92,6 +91,7 @@ def all_entries() -> tuple[IdentityRecord, ...]:
 def entry(entry_id: str) -> IdentityRecord:
     rec = _BY_ID.get(entry_id)
     if rec is None:
+        import difflib  # only an unknown id needs it
         raise UnknownEntryError(
             entry_id, difflib.get_close_matches(entry_id, _BY_ID.keys(), n=3, cutoff=0.5)
         )

@@ -71,7 +71,7 @@ def _cmd_show(entry_id):
 
 
 def _cmd_verify(args):
-    # RunConfig validates the flags; run() maps its ValueError to exit code 2
+    # RunConfig checks the flags and ids before the report opens; run() maps its errors to 2
     cfg = verify.RunConfig(
         seed=args.seed,
         samples_per_entry=args.samples,
@@ -80,24 +80,13 @@ def _cmd_verify(args):
         entry_filter=tuple(args.ids) if args.ids else None,
         parallelism=args.jobs,
     )
-    entries = verify._selected_entries(cfg)  # an unknown --id fails before the sink opens
-
-    # each entry's lines are written as soon as it is verified; only running
-    # totals outlive the entry
     if args.report is None:
         sink = nullcontext(sys.stdout)
     else:
         sink = open(args.report, "w", encoding="utf-8")
     with sink as fh:
-        if args.format == "text":
-            fh.write(verify._TEXT_HEADER)
-        totals = {}
-        for outcomes in verify._entry_outcomes(entries, cfg, totals):
-            fh.writelines(verify._outcome_lines(outcomes, args.format))
-        consistency = verify.cross_check_consistency(cfg) if cfg.entry_filter is None else None
-        fh.writelines(verify._summary_lines(args.format, totals, consistency))
-
-    return 1 if verify._verdict(totals["failures"], consistency) == "fail" else 0
+        verdict = verify.write_report(cfg, fh, args.format)
+    return 1 if verdict == "fail" else 0
 
 
 def run(argv) -> int:

@@ -13,12 +13,8 @@ reruns with identical flags are byte-identical regardless of wall clock;
 the text form shows real timings.  Entries run one after another in one
 thread; ``RunConfig.parallelism`` is validated but has no effect.
 
-A report is built from three private pieces: ``_entry_outcomes`` yields
-each entry's outcomes as soon as the entry is verified,
-``_outcome_lines`` formats one entry's outcomes and ``_summary_lines``
-formats the summary from totals.  ``verify_all``, ``report_to_jsonl`` and
-``report_to_text`` are built on them, and so is the CLI, which writes each
-entry's lines before it verifies the next and keeps only running totals.
+``write_report`` is the streamed form of a report: it writes each entry's
+lines before it verifies the next and keeps only running totals.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ __all__ = [
     "verify_entry",
     "verify_all",
     "cross_check_consistency",
-    "overall_verdict",
+    "write_report",
     "report_to_jsonl",
     "report_to_text",
 ]
@@ -75,6 +71,11 @@ class RunConfig:
                 raise ValueError("tolerances must be positive and finite")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        if self.entry_filter is not None:
+            if isinstance(self.entry_filter, str) or not self.entry_filter:
+                raise ValueError("entry_filter must be a non-empty tuple of entry ids")
+            for eid in self.entry_filter:
+                catalog.entry(eid)  # an unknown id raises UnknownEntryError
 
 
 @dataclass(frozen=True)
@@ -241,9 +242,8 @@ def _entry_outcomes(entries, cfg, totals):
 def verify_all(cfg: RunConfig) -> VerificationReport:
     """Verify the (filtered) roster; deterministic for a fixed config.
 
-    The report holds every outcome of the run.  The CLI instead writes
-    each entry's outcomes as ``_entry_outcomes`` yields them and keeps
-    only the running totals.
+    The report holds every outcome of the run; ``write_report`` streams
+    the same outcomes instead.
     """
     start = time.perf_counter()
     entries = _selected_entries(cfg)
@@ -374,9 +374,21 @@ def _check_fake_parameter(cfg, entry_id, fake_name):
 # serialization
 # --------------------------------------------------------------------------
 
-def overall_verdict(report: VerificationReport, consistency: ConsistencyReport | None = None) -> str:
-    """'pass' when every outcome passed and every consistency check, if any ran."""
-    return _verdict(report.failures, consistency)
+def write_report(cfg: RunConfig, fh, fmt: str = "json") -> str:
+    """Write the report of ``verify_all(cfg)`` to ``fh`` as ``report_to_jsonl``
+    (fmt "json") or ``report_to_text`` (fmt "text") would, entry by entry,
+    keeping only running totals; returns the verdict.  The consistency
+    suite runs only on the unfiltered roster."""
+    if fmt not in ("json", "text"):
+        raise ValueError(f"unknown report format {fmt!r}")
+    if fmt == "text":
+        fh.write(_TEXT_HEADER)
+    totals = {}
+    for outcomes in _entry_outcomes(_selected_entries(cfg), cfg, totals):
+        fh.writelines(_outcome_lines(outcomes, fmt))
+    consistency = cross_check_consistency(cfg) if cfg.entry_filter is None else None
+    fh.writelines(_summary_lines(fmt, totals, consistency))
+    return _verdict(totals["failures"], consistency)
 
 
 def _verdict(failures, consistency):
@@ -393,9 +405,7 @@ def report_to_jsonl(
     text file (any object with ``writelines``), it is written there line
     by line and None is returned, so no copy of the report text is held.
     Both forms hold the same characters.  Timing fields are zeroed so
-    identical configurations yield byte-identical reports.  The report
-    itself holds every outcome of the run; the CLI writes the same lines
-    entry by entry instead, with the summary from running totals.
+    identical configurations yield byte-identical reports.
     """
     lines = itertools.chain(
         _outcome_lines(report.outcomes, "json"),

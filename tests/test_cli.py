@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, report files."""
 
+import ast
 import dataclasses
 import gc
 import json
@@ -11,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from betaquad import catalog, verify
+from betaquad import catalog, cli, verify
 from betaquad.cli import run
 
 
@@ -203,6 +204,18 @@ class TestVerifyCommand:
         error = "EvaluationError" if where == "row" else "ValueError: integrand unavailable"
         assert error in failed.detail
         assert all(c.passed for name, c in checks.items() if name != "fake-parameter-3.217")
+
+
+def test_cli_names_no_private_verify_attribute():
+    # the report format and the consistency-suite policy live in verify
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    private = [
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "verify" and node.attr.startswith("_")
+    ]
+    assert private == []
 
 
 class TestConsoleScript:

@@ -191,10 +191,11 @@ class TestVerifyAll:
 
     def test_cold_import_loads_no_thread_pool(self, package_env):
         # runs are serial: neither the import nor a run asking for threads
-        # loads concurrent.futures
+        # loads concurrent.futures; difflib loads only to suggest ids
         code = (
             "import sys, betaquad.cli\n"
             "print('concurrent.futures' in sys.modules)\n"
+            "print('difflib' in sys.modules)\n"
             "from betaquad import verify\n"
             "verify.verify_all(verify.RunConfig(samples_per_entry=2, parallelism=4,"
             " entry_filter=('3.191.3', '3.217')))\n"
@@ -204,7 +205,7 @@ class TestVerifyAll:
             [sys.executable, "-c", code], env=package_env, capture_output=True, text=True,
             check=True,
         )
-        assert out.stdout.split() == ["False", "False"]
+        assert out.stdout.split() == ["False", "False", "False"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -220,6 +221,12 @@ class TestVerifyAll:
                 verify.RunConfig(rtol_override=bad)
         with pytest.raises(ValueError):
             verify.RunConfig(parallelism=0)
+        # a bare string is not a tuple of ids, and an empty filter verifies nothing
+        for bad in ("3.217", ()):
+            with pytest.raises(ValueError, match="entry_filter must be a non-empty tuple"):
+                verify.RunConfig(entry_filter=bad)
+        with pytest.raises(catalog.UnknownEntryError, match="'nope'"):
+            verify.RunConfig(entry_filter=("3.217", "nope"))
         for bad in (7.0, True, "7", None):
             with pytest.raises(ValueError, match="seed must be an integer"):
                 verify.RunConfig(seed=bad)
@@ -232,6 +239,38 @@ class TestVerifyAll:
             o.params for o in verify.verify_all(verify.RunConfig(
                 seed=7, samples_per_entry=2, entry_filter=("3.191.3",))).outcomes
         ]
+
+
+class TestCorrectnessLedger:
+    # The seed-7 round at a 1% sampling margin has known non-pass outcomes.
+    # A change that mends one removes its row here and records that in
+    # CHANGES.md; adding a row is a correctness regression, not a way to
+    # make this test pass.
+    LEDGER = {
+        ("3.192.1", 5, "fail"),
+        ("3.192.2", 19, "fail"),
+        ("3.192.4", 3, "fail"),
+        ("eq-4.3", 13, "fail"),
+        ("3.194.6", 4, "fail"),
+        ("eq-10.4", 11, "fail"),
+        ("3.192.3", 3, "quad_nonconverged"),
+        ("3.196.5", 5, "quad_nonconverged"),
+        ("eq-10.4", 6, "quad_nonconverged"),
+        ("eq-10.4", 7, "quad_nonconverged"),
+        ("4.251.1", 5, "quad_nonconverged"),
+    }
+
+    def test_margin_one_percent_nonpasses(self):
+        cfg = verify.RunConfig(seed=7, samples_per_entry=20)
+        found = set()
+        for rec in catalog.all_entries():
+            rec = dataclasses.replace(rec, domain=dataclasses.replace(rec.domain, margin=0.01))
+            found |= {
+                (o.entry_id, o.sample_index, o.status)
+                for o in verify.verify_entry(rec, cfg) if o.status != "pass"
+            }
+        assert found - self.LEDGER == set(), "new non-pass outcomes"
+        assert self.LEDGER - found == set(), "ledger rows that now pass"
 
 
 class TestCrossChecks:
@@ -340,6 +379,21 @@ class TestStreamedReport:
         with open(path, "w", encoding="utf-8") as fh:
             assert verify.report_to_jsonl(*default_run, fh=fh) is None
         assert path.read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_write_report_streams_the_string_form(self, failing):
+        # a filtered run writes no consistency checks
+        tol = {"rtol_override": 1e-16, "atol": 1e-16} if failing else {}
+        cfg = verify.RunConfig(
+            seed=7, samples_per_entry=3, entry_filter=("3.216.1", "eq-4.3"), **tol,
+        )
+        buffer = io.StringIO()
+        assert verify.write_report(cfg, buffer) == ("fail" if failing else "pass")
+        assert buffer.getvalue() == verify.report_to_jsonl(verify.verify_all(cfg))
+
+    def test_write_report_rejects_unknown_format(self):
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            verify.write_report(verify.RunConfig(entry_filter=("3.191.3",)), io.StringIO(), "xml")
 
     def test_streaming_holds_no_report_text(self, default_run):
         # the string form holds all of the text at once; the stream holds
