@@ -16,8 +16,6 @@ Public operations:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import random
 import _random
@@ -98,12 +96,30 @@ def entry(entry_id: str) -> IdentityRecord:
     return rec
 
 
+def _resolve_sha256():
+    """The interpreter's builtin sha256 constructor: ``_sha256`` on Python
+    3.10-3.11, ``_sha2`` on 3.12+.  ``hashlib``, which loads OpenSSL's
+    libcrypto, is only the fallback for builds that ship neither."""
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
+_sha256 = _resolve_sha256()
+
+
 def _stream(entry_id: str, seed: int, index: int) -> random.Random:
-    """Per-sample RNG derived by hashing (seed, entry id, sample index).
+    """Per-sample RNG derived by hashing (seed, entry id, sample index) with
+    the builtin sha256 (the same digest as ``hashlib.sha256``).
 
     It is the stream of ``random.Random(n)``, seeded once through the C
     seed rather than the Python wrapper (which only forwards an int)."""
-    digest = hashlib.sha256(f"{seed}:{entry_id}:{index}".encode()).digest()
+    digest = _sha256(f"{seed}:{entry_id}:{index}".encode()).digest()
     rng = random.Random.__new__(random.Random)
     _random.Random.seed(rng, int.from_bytes(digest[:8], "big"))
     return rng
@@ -264,6 +280,8 @@ def catalog_manifest() -> list[dict]:
 
 
 def write_catalog_json(path) -> None:
+    import json  # only this writer needs it
+
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(catalog_manifest(), fh, indent=2)
         fh.write("\n")

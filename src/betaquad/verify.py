@@ -59,7 +59,7 @@ class RunConfig:
     parallelism: int = 1  # validated, no effect: entries run serially
 
     def __post_init__(self):
-        for name in ("seed", "samples_per_entry"):
+        for name in ("seed", "samples_per_entry", "parallelism"):
             value = getattr(self, name)
             # a float or bool seed would hash to a stream of its own
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -72,9 +72,10 @@ class RunConfig:
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         if self.entry_filter is not None:
-            if isinstance(self.entry_filter, str) or not self.entry_filter:
+            ids = self.entry_filter
+            if not isinstance(ids, tuple) or not ids or not all(isinstance(i, str) for i in ids):
                 raise ValueError("entry_filter must be a non-empty tuple of entry ids")
-            for eid in self.entry_filter:
+            for eid in ids:
                 catalog.entry(eid)  # an unknown id raises UnknownEntryError
 
 

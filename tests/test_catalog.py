@@ -1,9 +1,13 @@
 """Catalog roster integrity, sampling determinism, closed-form spot values,
 and the endpoint-exponent audit."""
 
+import hashlib
+import importlib.util
 import itertools
 import json
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +102,24 @@ class TestSampling:
         for i in range(100):
             mu = catalog.sample_params(rec, seed=2, index=i)["mu"]
             assert abs(mu) >= 0.05 * 4.0
+
+    def test_stream_digest_is_hashlib_sha256(self):
+        for rec, seed, index in itertools.product(
+            catalog.all_entries(), (0, 7, -3, 2**31 - 1, 10**30), (0, 1, 199)
+        ):
+            message = f"{seed}:{rec.id}:{index}".encode()
+            digest = hashlib.sha256(message).digest()
+            assert catalog._sha256(message).digest() == digest
+            rng = catalog._stream(rec.id, seed, index)
+            expected = random.Random(int.from_bytes(digest[:8], "big"))
+            assert rng.getrandbits(128) == expected.getrandbits(128)
+
+    def test_sha256_falls_back_to_hashlib(self, monkeypatch):
+        builtin = any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2"))
+        assert (catalog._resolve_sha256() is not hashlib.sha256) == builtin
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        assert catalog._resolve_sha256() is hashlib.sha256
 
     def test_mid_params_valid(self):
         for rec in catalog.all_entries():

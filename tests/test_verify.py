@@ -190,22 +190,24 @@ class TestVerifyAll:
         assert first == second
 
     def test_cold_import_loads_no_thread_pool(self, package_env):
-        # runs are serial: neither the import nor a run asking for threads
-        # loads concurrent.futures; difflib loads only to suggest ids
+        # runs are serial, so a run asking for threads loads no thread pool;
+        # sampling hashes with the builtin sha256, so nothing loads OpenSSL;
+        # difflib loads only to suggest ids, the oracle only when imported,
+        # and json only to write a JSON report
+        never = ["_hashlib", "hashlib", "concurrent.futures", "difflib", "betaquad.oracle"]
         code = (
-            "import sys, betaquad.cli\n"
-            "print('concurrent.futures' in sys.modules)\n"
-            "print('difflib' in sys.modules)\n"
+            "import io, sys, betaquad.cli\n"
+            f"print([m for m in {never + ['json']!r} if m in sys.modules])\n"
             "from betaquad import verify\n"
-            "verify.verify_all(verify.RunConfig(samples_per_entry=2, parallelism=4,"
-            " entry_filter=('3.191.3', '3.217')))\n"
-            "print('concurrent.futures' in sys.modules)\n"
+            "verify.write_report(verify.RunConfig(samples_per_entry=2, parallelism=4,"
+            " entry_filter=('3.191.3', '3.217')), io.StringIO())\n"
+            f"print([m for m in {never!r} if m in sys.modules])\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], env=package_env, capture_output=True, text=True,
             check=True,
         )
-        assert out.stdout.split() == ["False", "False", "False"]
+        assert out.stdout.splitlines() == ["[]", "[]"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -221,8 +223,10 @@ class TestVerifyAll:
                 verify.RunConfig(rtol_override=bad)
         with pytest.raises(ValueError):
             verify.RunConfig(parallelism=0)
-        # a bare string is not a tuple of ids, and an empty filter verifies nothing
-        for bad in ("3.217", ()):
+        # a bare string is not a tuple of ids, an empty filter verifies nothing,
+        # an id is a string, and a one-shot iterable would be used up here
+        for bad in ("3.217", (), (3.217,), ("3.217", None), 3.217, ["3.217"],
+                    iter(("3.217",))):
             with pytest.raises(ValueError, match="entry_filter must be a non-empty tuple"):
                 verify.RunConfig(entry_filter=bad)
         with pytest.raises(catalog.UnknownEntryError, match="'nope'"):
@@ -232,6 +236,10 @@ class TestVerifyAll:
                 verify.RunConfig(seed=bad)
             with pytest.raises(ValueError, match="samples_per_entry must be an integer"):
                 verify.RunConfig(samples_per_entry=bad)
+        for bad in (1.5, 2.0, True, "2", None):
+            with pytest.raises(ValueError, match="parallelism must be an integer"):
+                verify.RunConfig(parallelism=bad)
+        assert verify.RunConfig(parallelism=np.int64(2)).parallelism == 2
         # numpy integers draw the same stream as the int of the same value
         cfg = verify.RunConfig(seed=np.int64(7), samples_per_entry=np.int32(2),
                                entry_filter=("3.191.3",))
