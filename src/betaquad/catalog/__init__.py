@@ -203,24 +203,16 @@ def _fit_slope(ds, fs):
 
 
 def _probe_slope(f, spec, side):
-    if spec.kind == "finite":
-        lo, hi = spec.lo, spec.hi
-        scale = hi - lo
-    elif spec.kind == "half_line_up":
-        lo, hi, scale = spec.lo, math.inf, 1.0
-    else:  # half_line_down
-        lo, hi, scale = -math.inf, spec.hi, 1.0
+    lo, hi = spec.lo, spec.hi
+    width = hi - lo  # inf on a half-line: the far end is infinitely far
+    scale = width if math.isfinite(width) else 1.0
     slopes = []
     for fractions in (_DEEP_FRACTIONS, _SHALLOW_FRACTIONS):
         d = np.array(fractions) * scale
         if side == "lo":
-            x = lo + d
-            dlo = d
-            dhi = (hi - lo) - d if math.isfinite(hi) else np.full_like(d, math.inf)
+            x, dlo, dhi = lo + d, d, width - d
         else:
-            x = hi - d
-            dhi = d
-            dlo = (hi - lo) - d if math.isfinite(lo) else np.full_like(d, math.inf)
+            x, dlo, dhi = hi - d, width - d, d
         with np.errstate(all="ignore"):
             fs = np.asarray(f(x, dlo, dhi), dtype=float)
         slope = _fit_slope(d, fs)
@@ -238,14 +230,9 @@ def endpoint_slope_audit(rec: IdentityRecord, params: dict, tol: float = 0.05):
     spec = rec.make_spec(params)
     f = rec.make_integrand(params)
     results = []
-    sides = []
-    if spec.kind == "finite":
-        sides = [("lo", spec.alpha_lo), ("hi", spec.alpha_hi)]
-    elif spec.kind == "half_line_up":
-        sides = [("lo", spec.alpha_lo)]
-    elif spec.kind == "half_line_down":
-        sides = [("hi", spec.alpha_hi)]
-    for side, declared in sides:
+    for side, end, declared in (("lo", spec.lo, spec.alpha_lo), ("hi", spec.hi, spec.alpha_hi)):
+        if not math.isfinite(end):
+            continue
         slopes = _probe_slope(f, spec, side)
         if not slopes:
             results.append((side, declared, math.nan, False))

@@ -59,9 +59,12 @@ def _cmd_show(entry_id):
         print(f"zero atol:       {rec.zero_atol:g}")
     print(f"citation:        {rec.citation}")
     print("parameters:")
-    for prm in rec.domain.params:
+    # an integer is drawn from its closed range; a real from its open one,
+    # shrunk by the margin on each side
+    for prm, (_, integer, a, w, _, _) in zip(rec.domain.params, rec.domain.plan):
+        bounds = f"[{prm.lo:g}, {prm.hi:g}]" if integer else f"({prm.lo:g}, {prm.hi:g})"
         carve = f", excluding {list(prm.exclude)}" if prm.exclude else ""
-        print(f"  {prm.name:<6} {prm.kind:<8} range ({prm.lo:g}, {prm.hi:g}]{carve}")
+        print(f"  {prm.name:<6} {prm.kind:<8} range {bounds}, drawn in [{a:g}, {a + w:g}]{carve}")
     if rec.domain.relations:
         print("relations:")
         for r in rec.domain.relations:

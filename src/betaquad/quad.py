@@ -16,10 +16,10 @@ integrate_rows       many integrals of one integrand family at once, one
                      same for every row, so one integrand call evaluates a
                      level block for all rows still open.
 
-An IntegralSpec is validated once, when it is built.  ``integrate_rows``
-turns its rows' specs into (rows x 1) columns of lower and upper ends
-(+-inf on an infinite end) and, for principal values, a (rows x poles)
-array of poles; the driver reads nothing else.
+An IntegralSpec is validated once, when it is built, and stores an
+infinite end as -inf or +inf.  ``integrate_rows`` stacks its rows' ends
+into (rows x 1) columns of lower and upper ends and, for principal values,
+a (rows x poles) array of poles; the driver reads nothing else.
 
 ``betaquad.oracle`` holds an independent Gauss-Kronrod integrator that
 cross-validates these engines in the test suite.
@@ -91,12 +91,12 @@ class PoleWindowError(QuadratureError):
     """No symmetric window fits around a declared principal-value pole."""
 
 
-# which ends of each domain kind are finite: (lower, upper)
-_FINITE_ENDS = {
-    "finite": (True, True),
-    "half_line_up": (True, False),
-    "half_line_down": (False, True),
-    "real_line": (False, False),
+# the infinite ends of each domain kind, None where an end is finite: (lower, upper)
+_INFINITE_ENDS = {
+    "finite": (None, None),
+    "half_line_up": (None, math.inf),
+    "half_line_down": (-math.inf, None),
+    "real_line": (-math.inf, math.inf),
 }
 
 
@@ -105,13 +105,16 @@ class IntegralSpec:
     """Domain, endpoint singularity exponents and interior pole locations.
 
     ``alpha_lo``/``alpha_hi`` describe power-law behaviour of the integrand
-    near the corresponding finite endpoint; both must exceed -1 for the
-    integral to exist.  They are declarative: the engines do not read
-    them, ``catalog.endpoint_slope_audit`` checks them against the
-    integrand.  An infinite end takes neither an endpoint nor a nonzero
-    exponent, and a finite domain's width ``hi - lo`` must be finite.
-    Poles listed in ``poles`` are simple and trigger principal-value
-    treatment.
+    near the corresponding finite endpoint; both must be finite and exceed
+    -1 for the integral to exist.  They are declarative: the engines do not
+    read them, ``catalog.endpoint_slope_audit`` checks them against the
+    integrand.  ``kind`` says which ends are infinite, and the spec stores
+    such an end as ``-math.inf`` (``lo``) or ``math.inf`` (``hi``), so
+    every end is a number next to its exponent.  An infinite end is given
+    as None or as that same infinity (what ``dataclasses.replace`` passes
+    back) and takes a zero exponent; a finite domain's width ``hi - lo``
+    must be finite.  Poles listed in ``poles`` are simple and trigger
+    principal-value treatment.
     """
 
     kind: str  # "finite" | "half_line_up" | "half_line_down" | "real_line"
@@ -122,21 +125,26 @@ class IntegralSpec:
     poles: tuple[float, ...] = ()
 
     def __post_init__(self):
-        ends = _FINITE_ENDS.get(self.kind)
+        ends = _INFINITE_ENDS.get(self.kind)
         if ends is None:
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        lo, hi = self.lo, self.hi
         if not (self.alpha_lo > -1.0 and self.alpha_hi > -1.0):  # NaN fails too
             raise ValueError("endpoint exponents must exceed -1 for integrability")
-        for name, end, alpha, finite in (
-            ("lower", lo, self.alpha_lo, ends[0]),
-            ("upper", hi, self.alpha_hi, ends[1]),
+        if math.inf in (self.alpha_lo, self.alpha_hi):
+            raise ValueError("endpoint exponents must be finite")
+        for name, attr, alpha, infinity in (
+            ("lower", "lo", self.alpha_lo, ends[0]),
+            ("upper", "hi", self.alpha_hi, ends[1]),
         ):
-            if finite:
+            end = getattr(self, attr)
+            if infinity is None:
                 if end is None or not math.isfinite(end):
                     raise ValueError(f"{self.kind} requires a finite {name} endpoint")
-            elif end is not None or alpha != 0.0:
+            elif end not in (None, infinity) or alpha != 0.0:
                 raise ValueError(f"{self.kind} takes no {name} endpoint or exponent (infinite end)")
+            else:
+                object.__setattr__(self, attr, infinity)
+        lo, hi = self.lo, self.hi
         if self.kind == "finite":
             if not lo < hi:
                 raise ValueError("finite domain requires lo < hi")
@@ -148,8 +156,6 @@ class IntegralSpec:
             return
         if len(set(poles)) != len(poles):
             raise ValueError("interior poles must be pairwise distinct")
-        lo = lo if lo is not None else -math.inf
-        hi = hi if hi is not None else math.inf
         for s in poles:
             if not lo < s < hi:
                 raise ValueError(f"pole {s!r} is not strictly inside ({lo}, {hi})")
@@ -595,8 +601,8 @@ def integrate_rows(make_f, specs, tol: float = DEFAULT_TOL, make_folds=None) -> 
         raise ValueError("rows must share one domain kind and pole count")
     if npoles > 2:
         raise ValueError("at most two interior poles are supported")
-    lo = np.array([[-math.inf if s.lo is None else s.lo] for s in specs], dtype=float)
-    hi = np.array([[math.inf if s.hi is None else s.hi] for s in specs], dtype=float)
+    lo = np.array([[s.lo] for s in specs], dtype=float)
+    hi = np.array([[s.hi] for s in specs], dtype=float)
     if npoles:
         pole = np.array([s.poles for s in specs], dtype=float)
         return _pv_rows(make_f, kind, lo, hi, pole, tol, make_folds)

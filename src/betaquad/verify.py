@@ -66,8 +66,9 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer")
         if self.samples_per_entry < 1:
             raise ValueError("samples_per_entry must be >= 1")
-        for tol in (self.atol, self.rtol_override):
-            if tol is not None and not 0.0 < tol < math.inf:  # NaN fails too
+        for tol in (self.atol,) if self.rtol_override is None else (self.atol, self.rtol_override):
+            # a bool would count as 0 or 1; NaN fails the bounds
+            if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
                 raise ValueError("tolerances must be positive and finite")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
@@ -136,12 +137,12 @@ _SAMPLE_ERRORS = (catalog.DomainTooTightError, ValueError, OverflowError, quad.Q
 
 def _verify_rows(rec, cfg):
     """All samples of one entry.  Parameters, closed forms and specs are
-    drawn per sample; the integrals of all samples with the same domain
-    shape then run as one batch.  A row whose batch result is an error, and
-    every row of a batch that raised as a whole, is a sample_error: a
-    batched row is bit-identical to its lone sample, so integrating it
-    again alone would give the same error.  Each outcome's elapsed time is
-    an even share of the entry's."""
+    drawn per sample; the integrals of all drawn samples then run as one
+    batch.  A row whose batch result is an error, and every row of a batch
+    that raised as a whole, is a sample_error: a batched row is
+    bit-identical to its lone sample, so integrating it again alone would
+    give the same error.  Each outcome's elapsed time is an even share of
+    the entry's."""
     start = time.perf_counter()
     drawn = []
     for index in range(cfg.samples_per_entry):
@@ -155,18 +156,14 @@ def _verify_rows(rec, cfg):
             continue
         drawn.append((index, params, closed, spec))
     results = [None] * len(drawn)
-    groups = {}
-    for row in drawn:
-        if row[3] is not None:
-            groups.setdefault((row[3].kind, len(row[3].poles)), []).append(row)
-    for group in groups.values():
-        try:
-            found = _batch(rec, [row[1] for row in group], [row[3] for row in group])
-        except _SAMPLE_ERRORS:
-            continue  # every row of the group stays a sample_error
-        for (index, *_), result in zip(group, found):
-            if isinstance(result, quad.QuadratureResult):
-                results[index] = result
+    batch = [row for row in drawn if row[3] is not None]
+    try:
+        found = _batch(rec, [row[1] for row in batch], [row[3] for row in batch]) if batch else []
+    except _SAMPLE_ERRORS:
+        found = []  # every row of the batch stays a sample_error
+    for (index, *_), result in zip(batch, found):
+        if isinstance(result, quad.QuadratureResult):
+            results[index] = result
     elapsed = 1e3 * (time.perf_counter() - start) / len(drawn)
     return [
         _outcome(rec, index, params, closed, result, cfg, elapsed)
@@ -231,13 +228,24 @@ def _entry_outcomes(entries, cfg, totals):
     )
     for rec in entries:
         outcomes = _verify_rows(rec, cfg)
-        for o in outcomes:
-            totals["passes" if o.status == "pass" else "failures"] += 1
-            if math.isfinite(o.rel_err):
-                totals["worst_rel_err"] = max(totals["worst_rel_err"], o.rel_err)
-            totals["wall_ms"] += o.elapsed_ms
+        passes, worst, ms = _tally(outcomes)
         totals["outcomes"] += len(outcomes)
+        totals["passes"] += passes
+        totals["failures"] += len(outcomes) - passes
+        totals["worst_rel_err"] = max(totals["worst_rel_err"], worst)
+        totals["wall_ms"] += ms
         yield outcomes
+
+
+def _tally(outcomes):
+    """(passes, worst finite rel_err or 0.0, summed elapsed_ms) of outcomes."""
+    passes, worst, ms = 0, 0.0, 0.0
+    for o in outcomes:
+        passes += o.status == "pass"
+        if math.isfinite(o.rel_err):
+            worst = max(worst, o.rel_err)
+        ms += o.elapsed_ms
+    return passes, worst, ms
 
 
 def verify_all(cfg: RunConfig) -> VerificationReport:
@@ -397,25 +405,16 @@ def _verdict(failures, consistency):
     return "fail" if failed else "pass"
 
 
-def report_to_jsonl(
-    report: VerificationReport, consistency: ConsistencyReport | None = None, fh=None
-) -> str | None:
-    """JSON lines: one outcome per line, then one summary object.
-
-    Without ``fh`` the report is returned as one string.  Given an open
-    text file (any object with ``writelines``), it is written there line
-    by line and None is returned, so no copy of the report text is held.
-    Both forms hold the same characters.  Timing fields are zeroed so
-    identical configurations yield byte-identical reports.
+def report_to_jsonl(report: VerificationReport, consistency: ConsistencyReport | None = None) -> str:
+    """JSON lines: one outcome per line, then one summary object, as one
+    string; ``write_report`` streams the same characters to a file.  Timing
+    fields are zeroed so identical configurations yield byte-identical
+    reports.
     """
-    lines = itertools.chain(
+    return "".join(itertools.chain(
         _outcome_lines(report.outcomes, "json"),
         _summary_lines("json", _totals(report), consistency),
-    )
-    if fh is None:
-        return "".join(lines)
-    fh.writelines(lines)
-    return None
+    ))
 
 
 def report_to_text(report: VerificationReport, consistency: ConsistencyReport | None = None) -> str:
@@ -457,15 +456,10 @@ def _outcome_lines(outcomes, fmt):
                 }
             ) + "\n"
         return
-    passes, worst, ms, status = 0, 0.0, 0.0, "ok"
-    for o in outcomes:
-        ms += o.elapsed_ms
-        if o.status == "pass":
-            passes += 1
-        else:
-            status = o.status if o.status != "fail" else "FAIL"
-        if math.isfinite(o.rel_err):
-            worst = max(worst, o.rel_err)
+    passes, worst, ms = _tally(outcomes)
+    # the last outcome that did not pass names the entry's status
+    status = next((o.status for o in reversed(outcomes) if o.status != "pass"), "ok")
+    status = "FAIL" if status == "fail" else status
     eid = outcomes[0].entry_id
     yield (
         f"{eid:<16} {catalog.entry(eid).tolerance_class:<16} {len(outcomes):>7d} {passes:>7d} "

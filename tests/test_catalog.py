@@ -1,6 +1,7 @@
 """Catalog roster integrity, sampling determinism, closed-form spot values,
 and the endpoint-exponent audit."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import itertools
@@ -55,6 +56,19 @@ class TestRoster:
     def test_margin_default(self):
         for rec in catalog.all_entries():
             assert rec.domain.margin == 0.05
+
+    def test_one_domain_shape_per_entry(self):
+        # verify integrates all of an entry's samples as one batch, which
+        # needs one domain kind and pole count across the entry's draws
+        for rec in catalog.all_entries():
+            shapes = set()
+            for margin in (0.05, 0.01, 0.002):
+                edge = dataclasses.replace(rec, domain=dataclasses.replace(rec.domain, margin=margin))
+                for seed in (7, 11):
+                    for index in range(20):
+                        spec = rec.make_spec(catalog.sample_params(edge, seed, index))
+                        shapes.add((spec.kind, len(spec.poles)))
+            assert len(shapes) == 1, (rec.id, shapes)
 
     def test_pv_entries_carry_folds(self):
         for rec in catalog.all_entries():
@@ -303,13 +317,18 @@ class TestParameterColumns:
 
 
 class TestEndpointAudit:
+    # the ends the audit probes: the finite ones
+    FINITE_SIDES = {
+        "finite": ["lo", "hi"], "half_line_up": ["lo"], "half_line_down": ["hi"], "real_line": [],
+    }
+
     def test_declared_exponents_match_measured(self):
         for rec in catalog.all_entries():
             for i in range(3):
                 params = catalog.sample_params(rec, seed=11, index=i)
-                for side, declared, measured, ok in catalog.endpoint_slope_audit(
-                    rec, params
-                ):
+                results = catalog.endpoint_slope_audit(rec, params)
+                assert [r[0] for r in results] == self.FINITE_SIDES[rec.make_spec(params).kind]
+                for side, declared, measured, ok in results:
                     assert ok, (rec.id, side, declared, measured, params)
 
     def test_audit_detects_wrong_declaration(self):

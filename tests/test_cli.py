@@ -41,6 +41,16 @@ class TestShow:
         assert "range" in out
         assert catalog.entry("3.457.3").citation in out
 
+    @pytest.mark.parametrize("entry_id, line", [
+        # randint(0, 6) draws both ends
+        ("3.226.1", "  n      integer  range [0, 6], drawn in [0, 6]\n"),
+        # p = 1 is a pole of the closed form; the 5% margin keeps draws off both ends
+        ("3.192.1", "  p      real     range (0, 1), drawn in [0.05, 0.95]\n"),
+    ])
+    def test_range_says_what_is_drawn(self, capsys, entry_id, line):
+        assert run(["show", entry_id]) == 0
+        assert line in capsys.readouterr().out
+
     def test_unknown_id_exits_2(self, capsys):
         assert run(["show", "definitely-not-there"]) == 2
         assert "error" in capsys.readouterr().err

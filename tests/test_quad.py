@@ -101,6 +101,37 @@ class TestSpecValidation:
         with rejects("endpoint exponents must exceed -1 for integrability"):
             IntegralSpec.half_line_down(0.0, alpha_hi=math.nan)
 
+    def test_infinite_exponent_rejected(self):
+        # an infinite exponent passes the integrability test but is no power law
+        with rejects("endpoint exponents must be finite"):
+            IntegralSpec.finite(0.0, 1.0, alpha_lo=math.inf)
+        with rejects("endpoint exponents must be finite"):
+            IntegralSpec.half_line_up(0.0, alpha_lo=math.inf)
+
+    @pytest.mark.parametrize("spec, lo, hi", [
+        (IntegralSpec.finite(0.0, 1.0), 0.0, 1.0),
+        (IntegralSpec.half_line_up(2.0, alpha_lo=0.5), 2.0, math.inf),
+        (IntegralSpec.half_line_down(-1.0, poles=(-3.0,)), -math.inf, -1.0),
+        (IntegralSpec.real_line(poles=(0.5,)), -math.inf, math.inf),
+    ])
+    def test_infinite_ends_are_stored_as_infinities(self, spec, lo, hi):
+        assert (spec.lo, spec.hi) == (lo, hi)
+        # replace passes the stored infinities back in
+        assert dataclasses.replace(spec) == spec
+        assert dataclasses.replace(spec, poles=()).poles == ()
+        assert IntegralSpec(spec.kind, lo, hi, spec.alpha_lo, spec.alpha_hi, spec.poles) == spec
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("half_line_up", dict(lo=0.0, hi=-math.inf)),
+        ("half_line_down", dict(lo=math.inf, hi=0.0)),
+        ("real_line", dict(lo=math.inf)),
+        ("real_line", dict(hi=-math.inf)),
+        ("real_line", dict(lo=-math.inf, hi=1e308)),
+    ])
+    def test_infinite_end_takes_only_its_own_infinity(self, kind, fields):
+        with pytest.raises(ValueError, match=f"{kind} takes no (lower|upper) endpoint or exponent"):
+            IntegralSpec(kind, **fields)
+
 
 class TestFinite:
     def test_linear(self):
@@ -561,8 +592,8 @@ def engine_level_sum(f, spec):
     """The engine's own one-row block evaluation (call layout, level sums,
     finiteness scan) as a reference-style ``level_sum``."""
     spec = spec or IntegralSpec.real_line()
-    lo = np.array([[-math.inf if spec.lo is None else spec.lo]])
-    hi = np.array([[math.inf if spec.hi is None else spec.hi]])
+    lo = np.array([[spec.lo]])
+    hi = np.array([[spec.hi]])
     transform, args = quad._layout(spec.kind, lo, hi)
     rows = np.arange(1)
 
