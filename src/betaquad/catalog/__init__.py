@@ -87,13 +87,12 @@ def all_entries() -> tuple[IdentityRecord, ...]:
 
 
 def entry(entry_id: str) -> IdentityRecord:
-    rec = _BY_ID.get(entry_id)
-    if rec is None:
-        import difflib  # only an unknown id needs it
-        raise UnknownEntryError(
-            entry_id, difflib.get_close_matches(entry_id, _BY_ID.keys(), n=3, cutoff=0.5)
-        )
-    return rec
+    if not isinstance(entry_id, str):  # neither looked up nor matched
+        raise UnknownEntryError(entry_id, ())
+    if entry_id in _BY_ID:
+        return _BY_ID[entry_id]
+    import difflib  # only an unknown id needs it
+    raise UnknownEntryError(entry_id, difflib.get_close_matches(entry_id, _BY_ID, n=3, cutoff=0.5))
 
 
 def _resolve_sha256():

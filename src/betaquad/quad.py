@@ -49,6 +49,7 @@ integrand must not modify them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -442,10 +443,10 @@ def _verdict(level, tol, value, diff, tail, met, spiral):
     return ("diverging" if wild else "max_level"), diff, level
 
 
-def _drive(make_f, kind, lo, hi, tol):
-    """Level-doubling driver for rows of one pole-free domain kind, which
-    share one node table; ``lo`` and ``hi`` are the rows' ends as (rows x
-    1) columns, +-inf on an infinite end.
+def _drive(make_f, lo, hi, tol):
+    """Level-doubling driver for pole-free rows that share one node table;
+    ``lo`` and ``hi`` are the rows' ends as (rows x 1) columns, +-inf on an
+    infinite end, and ``_layout`` picks the transform from them.
 
     ``make_f(rows)`` gives the integrand of the open rows, whose
     parameters are (rows x 1) columns.  Levels 0..MIN_LEVEL are always all
@@ -460,7 +461,7 @@ def _drive(make_f, kind, lo, hi, tol):
     Returns one QuadratureResult per row, or the EvaluationError of a row
     whose integrand returned a non-finite value.
     """
-    transform, args = _layout(kind, lo, hi)
+    transform, args = _layout(lo, hi)
     nrows = lo.shape[0]
     results = [None] * nrows
     # per open row, aligned with ``rows``: the level differences so far,
@@ -533,14 +534,16 @@ def _drive(make_f, kind, lo, hi, tol):
     return results
 
 
-def _layout(kind, lo, hi):
-    """(transform, args) for rows of one pole-free domain kind with ends
-    ``lo`` and ``hi`` ((rows x 1) columns).  ``args(blk, rows)`` gives the
-    call arrays x, dlo, dhi of the open rows and each row's sum scale and
-    centre weight."""
-    if kind == "real_line":
+def _layout(lo, hi):
+    """(transform, args) for pole-free rows with (rows x 1) end columns
+    ``lo`` and ``hi``, which share their infinite sides: the first row's
+    infinite ends pick sinh-sinh (both), tanh-sinh (neither) or exp-sinh
+    anchored at the finite end.  ``args(blk, rows)`` gives the call arrays
+    x, dlo, dhi of the open rows and each row's sum scale and centre weight."""
+    down, up = math.isinf(lo[0, 0]), math.isinf(hi[0, 0])
+    if down and up:
         return "sinh_sinh", lambda blk, rows: (blk.nodes, blk.inf, blk.inf, 1.0, 0.5 * math.pi)
-    if kind == "finite":
+    if not (down or up):
         width = hi - lo
 
         def finite_args(blk, rows):
@@ -553,7 +556,6 @@ def _layout(kind, lo, hi):
             return x, dlo, dhi, L, (math.pi / 4.0) * L
 
         return "tanh_sinh", finite_args
-    up = kind == "half_line_up"
     anchor = lo if up else hi
 
     def half_line_args(blk, rows):
@@ -581,9 +583,10 @@ def integrate_rows(make_f, specs, tol: float = DEFAULT_TOL, make_folds=None) -> 
     """Integrate many rows of one integrand family at once.
 
     ``specs`` has one IntegralSpec per row; all share one domain kind and
-    pole count.  ``make_f(rows)`` returns the integrand of the rows indexed
-    by the integer array ``rows``, with each parameter a (len(rows) x 1)
-    column; ``make_folds(rows)``, when given, returns their PV window folds
+    pole count, and the driver reads only their ends and poles.
+    ``make_f(rows)`` returns the integrand of the rows indexed by the
+    integer array ``rows``, with each parameter a (len(rows) x 1) column;
+    ``make_folds(rows)``, when given, returns their PV window folds
     the same way, one per pole (any other count raises ValueError).  Each
     call evaluates one level block for every open row, and every row gets
     exactly the result it gets alone: the one-row engines are this
@@ -592,7 +595,7 @@ def integrate_rows(make_f, specs, tol: float = DEFAULT_TOL, make_folds=None) -> 
     Returns one QuadratureResult per row, or the QuadratureError that row
     raised.  An exception raised by an integrand itself propagates.
     """
-    if not 0.0 < tol < math.inf:
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if not specs:
         return []
@@ -605,8 +608,8 @@ def integrate_rows(make_f, specs, tol: float = DEFAULT_TOL, make_folds=None) -> 
     hi = np.array([[s.hi] for s in specs], dtype=float)
     if npoles:
         pole = np.array([s.poles for s in specs], dtype=float)
-        return _pv_rows(make_f, kind, lo, hi, pole, tol, make_folds)
-    return _drive(make_f, kind, lo, hi, tol)
+        return _pv_rows(make_f, lo, hi, pole, tol, make_folds)
+    return _drive(make_f, lo, hi, tol)
 
 
 def integrate_finite(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -673,7 +676,8 @@ def integrate_pv(f, spec: IntegralSpec, tol: float = DEFAULT_TOL, folds=None) ->
     to an exact folded integrand u -> f(s+u)+f(s-u), one per pole; exact
     folds avoid the cancellation floor of the default pairing.  Remaining
     sub-intervals go to the plain engines; estimates and evaluation counts
-    add up.
+    add up.  A pole around which no window fits (h rounds to 0, or h or a
+    cut s - h, s + h overflows) raises PoleWindowError.
     """
     if not spec.poles:
         raise ValueError("integrate_pv requires at least one declared pole")
@@ -681,19 +685,20 @@ def integrate_pv(f, spec: IntegralSpec, tol: float = DEFAULT_TOL, folds=None) ->
     return _one(integrate_rows(lambda rows: f, [spec], tol, make_folds))
 
 
-def _pv_rows(make_f, kind, lo, hi, pole, tol, make_folds):
+def _pv_rows(make_f, lo, hi, pole, tol, make_folds):
     """``integrate_pv`` for many rows with the same pole count, from the
     rows' end columns and (rows x poles) ``pole`` array.  Each piece is one
-    batch over the rows where it is not empty: first each pole's window,
-    integrated in the offset u, then each leftover piece of [lo, hi]."""
+    batch, from its own end columns, over the rows where it is not empty:
+    first each pole's window, integrated in the offset u, then each
+    leftover piece of [lo, hi]."""
     nrows, npoles = pole.shape
     # window half-widths: half the distance to the nearest other pole or
     # finite end, 1.0 where there is neither.  Piece j of what is left
     # runs from a[:, j] to b[:, j], between the cuts lo, s - h, s + h, ...,
-    # hi.  An overflowing gap leaves no window; -inf + inf is NaN, so a
+    # hi.  A cut that overflows leaves no window; -inf + inf is NaN, so a
     # piece with an infinite end is not empty.
     with np.errstate(over="ignore", invalid="ignore"):
-        if kind == "real_line" and npoles == 1:
+        if npoles == 1 and math.isinf(lo[0, 0]) and math.isinf(hi[0, 0]):
             half = np.ones_like(pole)
         else:
             gap = np.minimum(pole - lo, hi - pole)
@@ -704,7 +709,7 @@ def _pv_rows(make_f, kind, lo, hi, pole, tol, make_folds):
         b = np.concatenate((pole - half, hi), axis=1)
         filled = ~(b <= a + 1e-14 * np.maximum(1.0, np.abs(a)))
     results = [None] * nrows
-    fits = (half > 0.0) & (half < math.inf)
+    fits = (half > 0.0) & np.isfinite(b[:, :-1]) & np.isfinite(a[:, 1:])
     alive = fits.all(axis=1)
     for r in (~alive).nonzero()[0].tolist():
         s = pole[r, fits[r].argmin()].item()  # the first pole no window fits
@@ -712,14 +717,14 @@ def _pv_rows(make_f, kind, lo, hi, pole, tol, make_folds):
     pieces = [[] for _ in range(nrows)]
     piece_tol = tol / (2.0 * npoles + 1.0)
 
-    def absorb(members, piece_kind, piece_lo, piece_hi, make_piece):
-        """Integrate one piece over the rows of the mask ``members`` still alive."""
+    def absorb(members, piece_lo, piece_hi, make_piece):
+        """Integrate one piece, from its end columns, over the rows of ``members`` still alive."""
         ids = (members & alive).nonzero()[0]
         if not ids.size:
             return
         if ids.size < nrows:
             piece_lo, piece_hi = piece_lo[ids], piece_hi[ids]
-        found = _drive(lambda rows: make_piece(ids[rows]), piece_kind, piece_lo, piece_hi, piece_tol)
+        found = _drive(lambda rows: make_piece(ids[rows]), piece_lo, piece_hi, piece_tol)
         for r, res in zip(ids.tolist(), found):
             if isinstance(res, Exception):
                 results[r] = res
@@ -741,21 +746,15 @@ def _pv_rows(make_f, kind, lo, hi, pole, tol, make_folds):
             clamp = _FOLD_CLAMP * half[rows, i:i + 1]
             return lambda x, dlo, dhi: fold(np.maximum(dlo, clamp))
 
-        absorb(alive, "finite", zero, half[:, i:i + 1], window)
+        absorb(alive, zero, half[:, i:i + 1], window)
 
     # leftover pieces: only the first touches lo and only the last hi, so
-    # j alone says which of a piece's ends is infinite and which distances
-    # the engine measures exactly
-    down = kind in ("half_line_down", "real_line")
-    up = kind in ("half_line_up", "real_line")
+    # j alone says which distances the engine measures exactly
     for j in range(npoles + 1):
-        first, last = j == 0, j == npoles
-        piece_kind = "half_line_down" if first and down else "half_line_up" if last and up else "finite"
-
-        def leftover(rows, kl=first, kh=last):
+        def leftover(rows, kl=j == 0, kh=j == npoles):
             return _rebased(make_f(rows), lo[rows], hi[rows], kl, kh)
 
-        absorb(filled[:, j], piece_kind, a[:, j:j + 1], b[:, j:j + 1], leftover)
+        absorb(filled[:, j], a[:, j:j + 1], b[:, j:j + 1], leftover)
 
     for r, found in enumerate(pieces):
         if results[r] is None:

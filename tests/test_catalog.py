@@ -52,6 +52,16 @@ class TestRoster:
             assert exc.suggestions  # near matches offered
         else:
             pytest.fail("expected UnknownEntryError")
+        with pytest.raises(catalog.UnknownEntryError) as err:
+            catalog.entry("3.2l7")
+        assert err.value.suggestions == ("3.217", "3.267.3", "3.267.2")
+
+    @pytest.mark.parametrize("entry_id", [3.217, None, ["3.217"]], ids=["float", "none", "list"])
+    def test_non_string_id_is_unknown(self, entry_id):
+        with pytest.raises(catalog.UnknownEntryError) as err:
+            catalog.entry(entry_id)
+        assert err.value.entry_id == entry_id
+        assert err.value.suggestions == ()
 
     def test_margin_default(self):
         for rec in catalog.all_entries():

@@ -186,7 +186,7 @@ def _never_called(x, dlo, dhi):
     raise AssertionError("integrand evaluated despite a bad tol")
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, True, "1e-9"])
 @pytest.mark.parametrize(
     "engine",
     [
@@ -594,7 +594,7 @@ def engine_level_sum(f, spec):
     spec = spec or IntegralSpec.real_line()
     lo = np.array([[spec.lo]])
     hi = np.array([[spec.hi]])
-    transform, args = quad._layout(spec.kind, lo, hi)
+    transform, args = quad._layout(lo, hi)
     rows = np.arange(1)
 
     def level_sum(first, last):
@@ -901,6 +901,23 @@ class TestBatchedRows:
         # nor does one whose half-width overflows
         with pytest.raises(quad.PoleWindowError):
             quad.integrate_pv(_never_called, IntegralSpec.half_line_up(-1e308, poles=(1e308,)))
+        # nor does one whose half-width 7.5e307 is finite but whose cut on
+        # the far side of the pole +-1.5e308 overflows, on either half line
+        for make_spec, sign in ((IntegralSpec.half_line_up, 1.0), (IntegralSpec.half_line_down, -1.0)):
+            t = sign * np.array([[1.0], [1.5e308], [2.0]])
+
+            def tail_f(r, t=t, sign=sign):
+                return lambda x, dlo, dhi: np.exp(-1e-308 * (dlo if sign > 0 else dhi)) / (x - t[r])
+
+            specs = [make_spec(0.0, poles=(v,)) for v in t[:, 0].tolist()]
+            found = quad.integrate_rows(tail_f, specs, TOL)
+            assert isinstance(found[1], quad.PoleWindowError)
+            assert str(found[1]) == f"no symmetric window fits around pole {sign * 1.5e308!r}"
+            with pytest.raises(quad.PoleWindowError):
+                quad.integrate_pv(tail_f(slice(1, 2)), specs[1], TOL)
+            for i in (0, 2):
+                alone = quad.integrate_pv(tail_f(slice(i, i + 1)), specs[i], TOL)
+                assert bits(found[i]) == bits(alone)
 
     def test_non_finite_row_fails_alone(self):
         b = np.array([[0.5], [1.5], [2.5]])
