@@ -92,6 +92,8 @@ class PoleWindowError(QuadratureError):
     """No symmetric window fits around a declared principal-value pole."""
 
 
+_BOOLS = (bool, np.bool_)  # not numbers, although they compare as 0 and 1
+
 # the infinite ends of each domain kind, None where an end is finite: (lower, upper)
 _INFINITE_ENDS = {
     "finite": (None, None),
@@ -101,7 +103,7 @@ _INFINITE_ENDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntegralSpec:
     """Domain, endpoint singularity exponents and interior pole locations.
 
@@ -115,7 +117,8 @@ class IntegralSpec:
     as None or as that same infinity (what ``dataclasses.replace`` passes
     back) and takes a zero exponent; a finite domain's width ``hi - lo``
     must be finite.  Poles listed in ``poles`` are simple and trigger
-    principal-value treatment.
+    principal-value treatment.  An end, exponent or pole that is a bool
+    or not a real number fails its check with that check's ValueError.
     """
 
     kind: str  # "finite" | "half_line_up" | "half_line_down" | "real_line"
@@ -129,17 +132,28 @@ class IntegralSpec:
         ends = _INFINITE_ENDS.get(self.kind)
         if ends is None:
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if not (self.alpha_lo > -1.0 and self.alpha_hi > -1.0):  # NaN fails too
+        # A bool would count as 0 or 1, and a non-real value fails a
+        # comparison with TypeError: both get the message of the check
+        alpha_lo, alpha_hi = self.alpha_lo, self.alpha_hi
+        try:
+            integrable = alpha_lo > -1.0 and alpha_hi > -1.0  # NaN fails too
+        except TypeError:
+            integrable = False
+        if not integrable or isinstance(alpha_lo, _BOOLS) or isinstance(alpha_hi, _BOOLS):
             raise ValueError("endpoint exponents must exceed -1 for integrability")
-        if math.inf in (self.alpha_lo, self.alpha_hi):
+        if math.inf in (alpha_lo, alpha_hi):
             raise ValueError("endpoint exponents must be finite")
         for name, attr, alpha, infinity in (
-            ("lower", "lo", self.alpha_lo, ends[0]),
-            ("upper", "hi", self.alpha_hi, ends[1]),
+            ("lower", "lo", alpha_lo, ends[0]),
+            ("upper", "hi", alpha_hi, ends[1]),
         ):
             end = getattr(self, attr)
             if infinity is None:
-                if end is None or not math.isfinite(end):
+                try:
+                    finite = math.isfinite(end)  # None fails here too
+                except TypeError:
+                    finite = False
+                if not finite or isinstance(end, _BOOLS):
                     raise ValueError(f"{self.kind} requires a finite {name} endpoint")
             elif end not in (None, infinity) or alpha != 0.0:
                 raise ValueError(f"{self.kind} takes no {name} endpoint or exponent (infinite end)")
@@ -158,7 +172,11 @@ class IntegralSpec:
         if len(set(poles)) != len(poles):
             raise ValueError("interior poles must be pairwise distinct")
         for s in poles:
-            if not lo < s < hi:
+            try:
+                inside = lo < s < hi
+            except TypeError:
+                inside = False
+            if not inside or isinstance(s, _BOOLS):
                 raise ValueError(f"pole {s!r} is not strictly inside ({lo}, {hi})")
         object.__setattr__(self, "poles", tuple(sorted(poles)))
 
@@ -180,7 +198,7 @@ class IntegralSpec:
         return cls("real_line", None, None, 0.0, 0.0, tuple(poles))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadratureResult:
     """One integral: its last level's ``value``, the integrand values it
     used (``evaluations``) and why its level loop stopped (``status``).

@@ -80,7 +80,7 @@ class RunConfig:
                 catalog.entry(eid)  # an unknown id raises UnknownEntryError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationOutcome:
     entry_id: str
     sample_index: int

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import re
 import subprocess
 import sys
@@ -131,6 +132,89 @@ class TestSpecValidation:
     def test_infinite_end_takes_only_its_own_infinity(self, kind, fields):
         with pytest.raises(ValueError, match=f"{kind} takes no (lower|upper) endpoint or exponent"):
             IntegralSpec(kind, **fields)
+
+    @pytest.mark.parametrize("value", [True, pytest.param(np.True_, id="np.True_"), "0.25", 0.25j])
+    def test_end_must_be_real(self, value):
+        # a bool would count as 0 or 1; a string or complex fails a comparison
+        with rejects("finite requires a finite lower endpoint"):
+            IntegralSpec.finite(value, 2.0)
+        with rejects("finite requires a finite upper endpoint"):
+            IntegralSpec.finite(-2.0, value)
+        with rejects("half_line_up requires a finite lower endpoint"):
+            IntegralSpec.half_line_up(value)
+        with rejects("half_line_down requires a finite upper endpoint"):
+            IntegralSpec.half_line_down(value)
+        with rejects("real_line takes no lower endpoint or exponent (infinite end)"):
+            IntegralSpec("real_line", lo=value)
+
+    @pytest.mark.parametrize("value", [
+        True, False, pytest.param(np.True_, id="np.True_"), pytest.param(np.False_, id="np.False_"),
+        "0.5", 0.5j,
+    ])
+    def test_exponent_must_be_real(self, value):
+        with rejects("endpoint exponents must exceed -1 for integrability"):
+            IntegralSpec.finite(0.0, 1.0, alpha_lo=value)
+        with rejects("endpoint exponents must exceed -1 for integrability"):
+            IntegralSpec.finite(0.0, 1.0, alpha_hi=value)
+        with rejects("endpoint exponents must exceed -1 for integrability"):
+            IntegralSpec.half_line_up(0.0, alpha_lo=value)
+
+    @pytest.mark.parametrize("value", [True, pytest.param(np.True_, id="np.True_"), "0.5", 0.5j])
+    def test_pole_must_be_real(self, value):
+        with rejects(f"pole {value!r} is not strictly inside (-2.0, 2.0)"):
+            IntegralSpec.finite(-2.0, 2.0, poles=(value,))
+        with rejects(f"pole {value!r} is not strictly inside (-inf, inf)"):
+            IntegralSpec.real_line(poles=(-1.0, value))
+
+    def test_numpy_reals_accepted(self):
+        spec = IntegralSpec.finite(np.float64(0.0), np.int64(2), np.float32(0.5), poles=(np.float64(1.0),))
+        assert spec == IntegralSpec.finite(0.0, 2.0, 0.5, poles=(1.0,))
+
+
+class TestRecordLayout:
+    """The per-row records are slotted: no instance dict, frozen as before."""
+
+    SPEC = IntegralSpec.finite(0.0, 2.0, alpha_lo=0.5, poles=(1.0,))
+    RESULT = quad.QuadratureResult(0.5, 1e-12, 99, "converged", (0.1, 1e-12))
+
+    @pytest.mark.parametrize("record", [SPEC, RESULT], ids=["spec", "result"])
+    def test_slots_are_the_fields(self, record):
+        assert not hasattr(record, "__dict__")
+        names = tuple(f.name for f in dataclasses.fields(record))
+        assert type(record).__slots__ == names
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, names[0], None)
+        with pytest.raises(TypeError):
+            vars(record)
+
+    @pytest.mark.parametrize("record", [SPEC, RESULT], ids=["spec", "result"])
+    def test_replace_eq_and_pickle(self, record):
+        assert dataclasses.replace(record) == record
+        assert dataclasses.replace(record) is not record
+        clone = pickle.loads(pickle.dumps(record))
+        assert clone == record and type(clone) is type(record)
+        assert dataclasses.astuple(clone) == dataclasses.astuple(record)
+
+    def test_spec_hash_and_validation_survive(self):
+        spec = self.SPEC
+        assert hash(spec) == hash(IntegralSpec.finite(0.0, 2.0, alpha_lo=0.5, poles=(1.0,)))
+        assert hash(pickle.loads(pickle.dumps(spec))) == hash(spec)
+        assert {spec, dataclasses.replace(spec)} == {spec}
+        assert dataclasses.replace(spec, poles=(1.5, 0.5)).poles == (0.5, 1.5)
+        with rejects("pole 3.0 is not strictly inside (0.0, 2.0)"):
+            dataclasses.replace(spec, poles=(3.0,))
+        assert dataclasses.replace(IntegralSpec.half_line_up(1.0), lo=2.0).hi == math.inf
+
+    def test_result_repr_hides_level_errors(self):
+        res = self.RESULT
+        assert repr(res) == (
+            "QuadratureResult(value=0.5, error_estimate=1e-12, evaluations=99, status='converged')"
+        )
+        assert res.converged
+        assert dataclasses.replace(res, status="max_level").level_errors == (0.1, 1e-12)
+        assert not dataclasses.replace(res, status="max_level").converged
+        assert hash(res) == hash(quad.QuadratureResult(0.5, 1e-12, 99, "converged", (0.1, 1e-12)))
+        assert res != dataclasses.replace(res, level_errors=())
 
 
 class TestFinite:

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -155,6 +156,34 @@ class TestVerifyEntry:
 
         outcomes = verify.verify_entry(dataclasses.replace(rec, make_folds=make_folds), cfg)
         assert [o.status for o in outcomes] == ["sample_error"] * 3
+
+
+class TestOutcomeLayout:
+    """An outcome is slotted: it is held once per sample, without an instance dict."""
+
+    @pytest.fixture(scope="class")
+    def outcome(self):
+        cfg = verify.RunConfig(seed=7, samples_per_entry=1)
+        return verify.verify_entry(catalog.entry("3.191.3"), cfg)[0]
+
+    def test_slots_are_the_fields(self, outcome):
+        assert not hasattr(outcome, "__dict__")
+        names = tuple(f.name for f in dataclasses.fields(outcome))
+        assert verify.VerificationOutcome.__slots__ == names
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            outcome.status = "fail"
+        with pytest.raises(TypeError):
+            vars(outcome)
+
+    def test_replace_eq_and_pickle(self, outcome):
+        assert dataclasses.replace(outcome) == outcome
+        assert dataclasses.replace(outcome, status="fail") != outcome
+        clone = pickle.loads(pickle.dumps(outcome))
+        assert clone == outcome and type(clone) is verify.VerificationOutcome
+        assert dataclasses.asdict(clone) == dataclasses.asdict(outcome)
+        with pytest.raises(TypeError):  # the params dict is unhashable, as before
+            hash(outcome)
+        assert repr(outcome).startswith("VerificationOutcome(entry_id='3.191.3', sample_index=0, params={")
 
 
 class TestVerifyAll:
