@@ -7,16 +7,12 @@ overflowing, and the ``fold_*`` builders produce analytically folded
 window integrands f(s+u) + f(s-u) for the principal-value entries (the
 naive pairing loses too many digits against the PV tolerances).
 
-Integrand and fold factories must take their parameters either as plain
-numbers (one sample) or as (rows x 1) columns (all samples of an entry in
-one batch), and must give each row bit for bit what its lone sample gets.
-``verify`` only ever passes columns: there is no per-sample fallback, so
-a factory that rejects columns makes every sample of its entry a
-sample_error.  For the same reason ``make_spec`` must give every sample
-of an entry one domain kind and pole count: ``verify`` integrates all of
-them in one ``quad.integrate_rows`` call, which rejects mixed shapes,
-and a record whose samples change shape makes every sample a
-sample_error.
+Spec, integrand and fold factories must take their parameters either as
+plain numbers (one sample) or as (rows x 1) columns (all samples of an
+entry in one batch: one IntegralSpec of columns), and must give each row
+bit for bit what its lone sample gets.  ``verify`` only ever passes
+columns: there is no per-sample fallback, so a factory that rejects
+columns makes every sample of its entry a sample_error.
 Two helpers keep that true: ``per_row`` computes values that depend on
 the parameters alone with the ``math`` functions, row by row, and
 ``power`` raises to a parameter exponent.  Elementwise numpy arithmetic

@@ -152,7 +152,7 @@ GROUP_E = [
         make_integrand=lambda p: _power_denominator(
             p["m"] + 1.0, p["n"] + 0.5, _ln(p["v"]), _ln(p["u"]), 1.0
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=float(p["m"])),
+        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["m"]),
         closed_form=_closed_3194_7,
     ),
     IdentityRecord(

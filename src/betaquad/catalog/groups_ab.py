@@ -85,7 +85,7 @@ GROUP_A = [
         citation="GR 3.226.1: int_0^1 x^n/sqrt(1-x) dx = Gamma(n+1) sqrt(pi)/Gamma(n+3/2)",
         domain=domain(integer("n", 0, 6)),
         make_integrand=lambda p: _beta_kernel(p["n"] + 1.0, 0.5),
-        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, float(p["n"]), -0.5),
+        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, p["n"], -0.5),
         closed_form=lambda p: sf.gamma(p["n"] + 1.0) * SQRT_PI / sf.gamma(p["n"] + 1.5),
     ),
     IdentityRecord(
@@ -153,9 +153,7 @@ GROUP_B = [
         citation="GR 3.193: int_0^n x^(nu-1)(n-x)^n dx = n^(nu+n) n!/(nu(nu+1)...(nu+n))",
         domain=domain(real("nu", 0.0, 3.0), integer("n", 1, 5)),
         make_integrand=lambda p: _beta_kernel(p["nu"], p["n"] + 1.0),
-        make_spec=lambda p: IntegralSpec.finite(
-            0.0, float(p["n"]), p["nu"] - 1.0, float(p["n"])
-        ),
+        make_spec=lambda p: IntegralSpec.finite(0.0, p["n"], p["nu"] - 1.0, p["n"]),
         closed_form=_closed_3193,
     ),
     IdentityRecord(

@@ -157,7 +157,7 @@ GROUP_C = [
         citation="exponential PV form: int_R e^(-mu t)/(e^(-t)+c) dt = -pi cot(mu pi)(-c)^(mu-1), c<0",
         domain=domain(real("mu", 0.0, 1.0), real("c", -3.0, -0.2)),
         make_integrand=lambda p: _integrand_exp_pole(p["mu"], p["c"]),
-        make_spec=lambda p: IntegralSpec.real_line(poles=(-math.log(-p["c"]),)),
+        make_spec=lambda p: IntegralSpec.real_line(poles=(per_row(lambda c: -math.log(-c), p["c"]),)),
         make_folds=lambda p: (fold_exp_kernel(p["mu"], p["c"]),),
         closed_form=lambda p: -math.pi
         * cot(p["mu"] * math.pi)
@@ -275,9 +275,7 @@ GROUP_C = [
             lambda x, dlo, dhi: (power(dlo, p["a"] - 1.0) + power(dlo, p["b"] - 1.0))
             * power(1.0 + x, -(p["a"] + p["b"]))
         ),
-        make_spec=lambda p: IntegralSpec.finite(
-            0.0, 1.0, min(p["a"], p["b"]) - 1.0, 0.0
-        ),
+        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, np.minimum(p["a"], p["b"]) - 1.0, 0.0),
         closed_form=lambda p: sf.beta(p["a"], p["b"]),
     ),
     IdentityRecord(

@@ -160,9 +160,7 @@ GROUP_G = [
         citation="GR 4.275.1: int_0^1 [(-ln x)^(q-1) - x^(p-1)(1-x)^(q-1)] dx = Gamma(q) - B(p,q)",
         domain=domain(real("p", 0.0, 3.0), real("q", 0.0, 3.0)),
         make_integrand=_integrand_4275_1,
-        make_spec=lambda p: IntegralSpec.finite(
-            0.0, 1.0, min(p["p"] - 1.0, 0.0), p["q"]
-        ),
+        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, np.minimum(p["p"] - 1.0, 0.0), p["q"]),
         closed_form=lambda p: sf.gamma(p["q"]) - sf.beta(p["p"], p["q"]),
     ),
     IdentityRecord(
@@ -204,7 +202,7 @@ GROUP_H = [
         domain=domain(real("p", 0.0, 1.0), real("b", 0.0, 3.0)),
         make_integrand=lambda p: _fake_parameter_kernel(p["p"], 1.0 / p["b"]),
         make_spec=lambda p: IntegralSpec.half_line_up(
-            0.0, alpha_lo=min(p["p"] - 1.0, -p["p"])
+            0.0, alpha_lo=np.minimum(p["p"] - 1.0, -p["p"])
         ),
         closed_form=lambda p: math.pi * cot(math.pi * p["p"]),
         tolerance_class="combined",
@@ -216,7 +214,7 @@ GROUP_H = [
         domain=domain(real("p", 0.0, 1.0), real("a", 0.0, 3.0)),
         make_integrand=lambda p: _fake_parameter_kernel(p["p"], p["a"]),
         make_spec=lambda p: IntegralSpec.half_line_up(
-            0.0, alpha_lo=min(p["p"] - 1.0, -p["p"])
+            0.0, alpha_lo=np.minimum(p["p"] - 1.0, -p["p"])
         ),
         closed_form=lambda p: math.pi * cot(math.pi * p["p"]),
         tolerance_class="combined",

@@ -16,10 +16,11 @@ integrate_rows       many integrals of one integrand family at once, one
                      same for every row, so one integrand call evaluates a
                      level block for all rows still open.
 
-An IntegralSpec is validated once, when it is built, and stores an
-infinite end as -inf or +inf.  ``integrate_rows`` stacks its rows' ends
-into (rows x 1) columns of lower and upper ends and, for principal values,
-a (rows x poles) array of poles; the driver reads nothing else.
+An IntegralSpec, one for all rows of an ``integrate_rows`` call, is
+validated once, when it is built, and stores an infinite end as -inf or
++inf.  ``integrate_rows`` broadcasts its ends to (rows x 1) columns and,
+for principal values, its poles to a (rows x poles) array; the driver
+reads nothing else.
 
 ``betaquad.oracle`` holds an independent Gauss-Kronrod integrator that
 cross-validates these engines in the test suite.
@@ -92,8 +93,6 @@ class PoleWindowError(QuadratureError):
     """No symmetric window fits around a declared principal-value pole."""
 
 
-_BOOLS = (bool, np.bool_)  # not numbers, although they compare as 0 and 1
-
 # the infinite ends of each domain kind, None where an end is finite: (lower, upper)
 _INFINITE_ENDS = {
     "finite": (None, None),
@@ -101,6 +100,21 @@ _INFINITE_ENDS = {
     "half_line_down": (-math.inf, None),
     "real_line": (-math.inf, math.inf),
 }
+
+
+def _is_column(value):
+    return isinstance(value, np.ndarray) and value.shape[1:] == (1,) and value.dtype.kind in "iuf"
+
+
+def _reals(value):
+    """A spec field as (rows x 1) floats, NaN if it is no real or column of reals."""
+    if _is_column(value):
+        return value.astype(float, copy=False)
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)  # not 0 or 1 here
+    try:
+        return np.full((1, 1), float(value) if real else math.nan)
+    except OverflowError:  # an integer too large for a float
+        return np.full((1, 1), math.inf if value > 0 else -math.inf)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,86 +130,86 @@ class IntegralSpec:
     every end is a number next to its exponent.  An infinite end is given
     as None or as that same infinity (what ``dataclasses.replace`` passes
     back) and takes a zero exponent; a finite domain's width ``hi - lo``
-    must be finite.  Poles listed in ``poles`` are simple and trigger
-    principal-value treatment.  An end, exponent or pole that is a bool
-    or not a real number fails its check with that check's ValueError.
+    must be finite.  Poles are simple, sorted in each row, and trigger
+    principal-value treatment.  An end, exponent or pole that is a bool or
+    not a real number fails its check with that check's ValueError.  Each
+    may be a (rows x 1) column, all of one length: every row is checked as
+    its own spec, and a pole message names the first failing row's values.
     """
 
     kind: str  # "finite" | "half_line_up" | "half_line_down" | "real_line"
-    lo: float | None = None
-    hi: float | None = None
-    alpha_lo: float = 0.0
-    alpha_hi: float = 0.0
-    poles: tuple[float, ...] = ()
+    lo: float | np.ndarray | None = None
+    hi: float | np.ndarray | None = None
+    alpha_lo: float | np.ndarray = 0.0
+    alpha_hi: float | np.ndarray = 0.0
+    poles: tuple = ()
 
     def __post_init__(self):
         ends = _INFINITE_ENDS.get(self.kind)
         if ends is None:
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        # A bool would count as 0 or 1, and a non-real value fails a
-        # comparison with TypeError: both get the message of the check
-        alpha_lo, alpha_hi = self.alpha_lo, self.alpha_hi
-        try:
-            integrable = alpha_lo > -1.0 and alpha_hi > -1.0  # NaN fails too
-        except TypeError:
-            integrable = False
-        if not integrable or isinstance(alpha_lo, _BOOLS) or isinstance(alpha_hi, _BOOLS):
+        poles = self.poles
+        if not isinstance(poles, (tuple, list)):
+            raise ValueError("poles must be a tuple or list of interior poles")
+        fields = (self.lo, self.hi, self.alpha_lo, self.alpha_hi, *poles)
+        if len({len(v) for v in fields if _is_column(v)} - {1}) > 1:
+            raise ValueError("spec columns must share one length")
+        # NaN, standing for a value that is not a real number, fails every check
+        alpha_lo, alpha_hi = _reals(self.alpha_lo), _reals(self.alpha_hi)
+        if not ((alpha_lo > -1.0) & (alpha_hi > -1.0)).all():
             raise ValueError("endpoint exponents must exceed -1 for integrability")
-        if math.inf in (alpha_lo, alpha_hi):
+        if not (np.isfinite(alpha_lo) & np.isfinite(alpha_hi)).all():
             raise ValueError("endpoint exponents must be finite")
-        for name, attr, alpha, infinity in (
-            ("lower", "lo", alpha_lo, ends[0]),
-            ("upper", "hi", alpha_hi, ends[1]),
-        ):
+        sides = zip(("lower", "upper"), ("lo", "hi"), (alpha_lo, alpha_hi), ends)
+        for name, attr, alpha, infinity in sides:
             end = getattr(self, attr)
             if infinity is None:
-                try:
-                    finite = math.isfinite(end)  # None fails here too
-                except TypeError:
-                    finite = False
-                if not finite or isinstance(end, _BOOLS):
+                if not np.isfinite(_reals(end)).all():
                     raise ValueError(f"{self.kind} requires a finite {name} endpoint")
-            elif end not in (None, infinity) or alpha != 0.0:
+            elif (end is not None and not (_reals(end) == infinity).all()) or (alpha != 0.0).any():
                 raise ValueError(f"{self.kind} takes no {name} endpoint or exponent (infinite end)")
             else:
                 object.__setattr__(self, attr, infinity)
-        lo, hi = self.lo, self.hi
+        lo, hi = _reals(self.lo), _reals(self.hi)
         if self.kind == "finite":
-            if not lo < hi:
+            if not (lo < hi).all():
                 raise ValueError("finite domain requires lo < hi")
-            if not math.isfinite(hi - lo):
-                raise ValueError("finite domain width hi - lo overflows")
-        poles = self.poles
-        if not len(poles):  # nothing to check
+            with np.errstate(over="ignore"):
+                if not np.isfinite(hi - lo).all():
+                    raise ValueError("finite domain width hi - lo overflows")
+        if not poles:  # nothing to check
             object.__setattr__(self, "poles", ())
             return
-        if len(set(poles)) != len(poles):
+        s = np.hstack(np.broadcast_arrays(*map(_reals, poles)))  # (rows x poles)
+        ordered = np.sort(s, axis=1)  # NaN sorts last and equals nothing
+        if (ordered[:, 1:] == ordered[:, :-1]).any():
             raise ValueError("interior poles must be pairwise distinct")
-        for s in poles:
-            try:
-                inside = lo < s < hi
-            except TypeError:
-                inside = False
-            if not inside or isinstance(s, _BOOLS):
-                raise ValueError(f"pole {s!r} is not strictly inside ({lo}, {hi})")
-        object.__setattr__(self, "poles", tuple(sorted(poles)))
+        outside = ~((lo < s) & (s < hi))
+        if outside.any():
+            r = outside.any(axis=1).argmax()
+            v, lo, hi = (x[r, 0].item() if _is_column(x) else x
+                         for x in (poles[outside[r].argmax()], self.lo, self.hi))
+            raise ValueError(f"pole {v!r} is not strictly inside ({lo}, {hi})")
+        columns = any(map(_is_column, poles))
+        poles = tuple(ordered.T[..., None]) if columns else tuple(sorted(poles))
+        object.__setattr__(self, "poles", poles)
 
     # convenience constructors -------------------------------------------
     @classmethod
     def finite(cls, lo, hi, alpha_lo=0.0, alpha_hi=0.0, poles=()):
-        return cls("finite", lo, hi, alpha_lo, alpha_hi, tuple(poles))
+        return cls("finite", lo, hi, alpha_lo, alpha_hi, poles)
 
     @classmethod
     def half_line_up(cls, lo, alpha_lo=0.0, poles=()):
-        return cls("half_line_up", lo, None, alpha_lo, 0.0, tuple(poles))
+        return cls("half_line_up", lo, None, alpha_lo, 0.0, poles)
 
     @classmethod
     def half_line_down(cls, hi, alpha_hi=0.0, poles=()):
-        return cls("half_line_down", None, hi, 0.0, alpha_hi, tuple(poles))
+        return cls("half_line_down", None, hi, 0.0, alpha_hi, poles)
 
     @classmethod
     def real_line(cls, poles=()):
-        return cls("real_line", None, None, 0.0, 0.0, tuple(poles))
+        return cls("real_line", None, None, 0.0, 0.0, poles)
 
 
 @dataclass(frozen=True, slots=True)
@@ -597,16 +611,17 @@ def _one(results):
 # public engines
 # --------------------------------------------------------------------------
 
-def integrate_rows(make_f, specs, tol: float = DEFAULT_TOL, make_folds=None) -> list:
-    """Integrate many rows of one integrand family at once.
+def integrate_rows(make_f, spec, nrows, tol: float = DEFAULT_TOL, make_folds=None) -> list:
+    """Integrate ``nrows`` rows of one integrand family at once.
 
-    ``specs`` has one IntegralSpec per row; all share one domain kind and
-    pole count, and the driver reads only their ends and poles.
+    ``spec`` is one spec for all rows: a number or a one-row column holds
+    for every row, a column of ``nrows`` for each row, any other length
+    raises ValueError; the driver reads only its ends and poles.
     ``make_f(rows)`` returns the integrand of the rows indexed by the
     integer array ``rows``, with each parameter a (len(rows) x 1) column;
-    ``make_folds(rows)``, when given, returns their PV window folds
-    the same way, one per pole (any other count raises ValueError).  Each
-    call evaluates one level block for every open row, and every row gets
+    ``make_folds(rows)``, when given, returns their PV window folds the
+    same way, one per pole (any other count raises ValueError).  Each call
+    evaluates one level block for every open row, and every row gets
     exactly the result it gets alone: the one-row engines are this
     function's one-row case.
 
@@ -615,18 +630,16 @@ def integrate_rows(make_f, specs, tol: float = DEFAULT_TOL, make_folds=None) -> 
     """
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    if not specs:
-        return []
-    kind, npoles = specs[0].kind, len(specs[0].poles)
-    if any(s.kind != kind or len(s.poles) != npoles for s in specs):
-        raise ValueError("rows must share one domain kind and pole count")
-    if npoles > 2:
+    if len(spec.poles) > 2:
         raise ValueError("at most two interior poles are supported")
-    lo = np.array([[s.lo] for s in specs], dtype=float)
-    hi = np.array([[s.hi] for s in specs], dtype=float)
-    if npoles:
-        pole = np.array([s.poles for s in specs], dtype=float)
-        return _pv_rows(make_f, lo, hi, pole, tol, make_folds)
+    cols = [np.asarray(v, dtype=float).reshape(-1, 1) for v in (spec.lo, spec.hi, *spec.poles)]
+    for n in {len(c) for c in cols} - {1, nrows}:
+        raise ValueError(f"a spec column of {n} rows does not fit {nrows} rows")
+    if not nrows:
+        return []
+    lo, hi, *poles = (np.broadcast_to(c, (nrows, 1)) for c in cols)
+    if poles:
+        return _pv_rows(make_f, lo, hi, np.hstack(poles), tol, make_folds)
     return _drive(make_f, lo, hi, tol)
 
 
@@ -636,7 +649,7 @@ def integrate_finite(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> Quadrat
         raise ValueError("integrate_finite requires a finite-domain spec")
     if spec.poles:
         raise ValueError("interior poles require integrate_pv")
-    return _one(integrate_rows(lambda rows: f, [spec], tol))
+    return _one(integrate_rows(lambda rows: f, spec, 1, tol))
 
 
 def integrate_half_line(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -645,12 +658,12 @@ def integrate_half_line(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> Quad
         raise ValueError("integrate_half_line requires a half-line spec")
     if spec.poles:
         raise ValueError("interior poles require integrate_pv")
-    return _one(integrate_rows(lambda rows: f, [spec], tol))
+    return _one(integrate_rows(lambda rows: f, spec, 1, tol))
 
 
 def integrate_real_line(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """sinh-sinh over the whole real line (exponentially decaying integrands)."""
-    return _one(integrate_rows(lambda rows: f, [IntegralSpec.real_line()], tol))
+    return _one(integrate_rows(lambda rows: f, IntegralSpec.real_line(), 1, tol))
 
 
 def _naive_fold(f, s, lo, hi):
@@ -700,7 +713,7 @@ def integrate_pv(f, spec: IntegralSpec, tol: float = DEFAULT_TOL, folds=None) ->
     if not spec.poles:
         raise ValueError("integrate_pv requires at least one declared pole")
     make_folds = None if folds is None else (lambda rows: folds)
-    return _one(integrate_rows(lambda rows: f, [spec], tol, make_folds))
+    return _one(integrate_rows(lambda rows: f, spec, 1, tol, make_folds))
 
 
 def _pv_rows(make_f, lo, hi, pole, tol, make_folds):
@@ -790,11 +803,8 @@ def _pv_rows(make_f, lo, hi, pole, tol, make_folds):
 
 
 def integrate(f, spec: IntegralSpec, tol: float = DEFAULT_TOL, folds=None) -> QuadratureResult:
-    """Dispatch to the engine matching the spec."""
+    """One integral: a principal value through ``integrate_pv``, any other
+    straight through ``integrate_rows`` as its one row."""
     if spec.poles:
         return integrate_pv(f, spec, tol, folds=folds)
-    if spec.kind == "finite":
-        return integrate_finite(f, spec, tol)
-    if spec.kind in ("half_line_up", "half_line_down"):
-        return integrate_half_line(f, spec, tol)
-    return integrate_real_line(f, tol)
+    return _one(integrate_rows(lambda rows: f, spec, 1, tol))

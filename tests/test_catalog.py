@@ -67,18 +67,26 @@ class TestRoster:
         for rec in catalog.all_entries():
             assert rec.domain.margin == 0.05
 
-    def test_one_domain_shape_per_entry(self):
-        # verify integrates all of an entry's samples as one batch, which
-        # needs one domain kind and pole count across the entry's draws
+    def test_column_spec_rows_match_lone_specs(self):
+        # verify builds one spec per entry from parameter columns: each row
+        # holds its lone sample's spec bit for bit, poles in ascending order
+        def row(value, r):
+            return float(np.broadcast_to(np.asarray(value, dtype=float), (20, 1))[r, 0]).hex()
+
         for rec in catalog.all_entries():
-            shapes = set()
             for margin in (0.05, 0.01, 0.002):
                 edge = dataclasses.replace(rec, domain=dataclasses.replace(rec.domain, margin=margin))
                 for seed in (7, 11):
-                    for index in range(20):
-                        spec = rec.make_spec(catalog.sample_params(edge, seed, index))
-                        shapes.add((spec.kind, len(spec.poles)))
-            assert len(shapes) == 1, (rec.id, shapes)
+                    params = [catalog.sample_params(edge, seed, index) for index in range(20)]
+                    spec = rec.make_spec({n: np.array([p[n] for p in params])[:, None] for n in params[0]})
+                    for r, p in enumerate(params):
+                        lone = rec.make_spec(p)
+                        fields = ("lo", "hi", "alpha_lo", "alpha_hi")
+                        assert spec.kind == lone.kind, rec.id
+                        assert [row(getattr(spec, f), r) for f in fields] == [
+                            float(getattr(lone, f)).hex() for f in fields
+                        ], (rec.id, seed, margin, r)
+                        assert [row(s, r) for s in spec.poles] == [float(s).hex() for s in lone.poles]
 
     def test_pv_entries_carry_folds(self):
         for rec in catalog.all_entries():

@@ -170,6 +170,88 @@ class TestSpecValidation:
         spec = IntegralSpec.finite(np.float64(0.0), np.int64(2), np.float32(0.5), poles=(np.float64(1.0),))
         assert spec == IntegralSpec.finite(0.0, 2.0, 0.5, poles=(1.0,))
 
+    def test_integer_too_large_for_a_float_is_infinite(self):
+        with rejects("finite requires a finite upper endpoint"):
+            IntegralSpec.finite(0, 10**400)
+        with rejects("endpoint exponents must be finite"):
+            IntegralSpec.finite(0.0, 1.0, alpha_lo=10**400)
+        with rejects("endpoint exponents must exceed -1 for integrability"):
+            IntegralSpec.finite(0.0, 1.0, alpha_hi=-10**400)
+
+    def test_poles_must_be_a_tuple_or_list(self):
+        with rejects("poles must be a tuple or list of interior poles"):
+            IntegralSpec.finite(0.0, 1.0, poles=None)
+        with rejects("poles must be a tuple or list of interior poles"):
+            IntegralSpec("real_line", poles=0.5)
+
+    def test_list_pole_is_not_a_column(self):
+        with rejects("pole [0.5] is not strictly inside (0.0, 1.0)"):
+            IntegralSpec.finite(0.0, 1.0, poles=([0.5],))
+        with rejects("pole array([0.5]) is not strictly inside (0.0, 1.0)"):
+            IntegralSpec.finite(0.0, 1.0, poles=(np.array([0.5]),))
+        with rejects("finite requires a finite upper endpoint"):
+            IntegralSpec.finite(0.0, np.array([[True]]))
+
+
+def _row(value, i):
+    """Row i of a column case: a list holds one value per row."""
+    if isinstance(value, tuple):
+        return tuple(_row(v, i) for v in value)
+    return value[i] if isinstance(value, list) else value
+
+
+def _column(value):
+    """A column case's lists as (rows x 1) columns."""
+    if isinstance(value, tuple):
+        return tuple(_column(v) for v in value)
+    return np.array(value)[:, None] if isinstance(value, list) else value
+
+
+class TestColumnSpec:
+    """One spec for many rows: each end, exponent and pole a number or a
+    (rows x 1) column, every row checked as its own spec would be."""
+
+    # four rows each, exactly one of them bad
+    @pytest.mark.parametrize("kind, fields", [
+        ("finite", dict(lo=0.0, hi=1.0, alpha_lo=[0.5, -0.5, -1.0, 0.2])),
+        ("finite", dict(lo=0.0, hi=1.0, alpha_hi=[0.0, math.inf, 0.1, 0.2])),
+        ("finite", dict(lo=0.0, hi=[1.0, 2.0, math.nan, 3.0])),
+        ("half_line_up", dict(lo=[0.0, math.inf, 1.0, 2.0])),
+        ("real_line", dict(alpha_lo=[0.0, 0.0, 0.5, 0.0])),
+        ("finite", dict(lo=[0.0, 1.0, 2.0, 3.0], hi=[1.0, 2.0, 2.0, 4.0])),
+        ("finite", dict(lo=[0.0, -1e308, 0.0, 0.0], hi=[1.0, 1e308, 1.0, 1.0])),
+        ("finite", dict(lo=0.0, hi=[1.0, 2.0, 3.0, 4.0], poles=([0.5, 1.5, 3.5, 2.0],))),
+        ("finite", dict(lo=0.0, hi=1.0, poles=([0.2, 0.3, 0.4, 0.5], [0.6, 0.3, 0.7, 0.8]))),
+        ("half_line_down", dict(hi=0.0, poles=(-0.5, [-1.0, -2.0, 0.5, -3.0]))),
+        ("real_line", dict(poles=([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 3.0, 5.0]))),
+    ])
+    def test_one_bad_row_raises_its_lone_message(self, kind, fields):
+        messages = []
+        for i in range(4):
+            try:
+                IntegralSpec(kind, **{k: _row(v, i) for k, v in fields.items()})
+            except ValueError as exc:
+                messages.append(str(exc))
+        assert len(messages) == 1
+        with rejects(messages[0]):
+            IntegralSpec(kind, **{k: _column(v) for k, v in fields.items()})
+
+    def test_columns_are_kept_and_poles_sorted_per_row(self):
+        a = np.array([[0.5], [2.0]])
+        b = np.array([[1.5], [0.25]])
+        spec = IntegralSpec.finite(0.0, 3.0, a - 1.0, poles=(a, b))
+        assert spec.lo == 0.0 and spec.hi == 3.0
+        np.testing.assert_array_equal(spec.alpha_lo, a - 1.0)
+        assert all(s.shape == (2, 1) for s in spec.poles)
+        np.testing.assert_array_equal(np.hstack(spec.poles), [[0.5, 1.5], [0.25, 2.0]])
+        assert IntegralSpec.half_line_up(a).hi == math.inf
+
+    def test_columns_share_one_length(self):
+        with rejects("spec columns must share one length"):
+            IntegralSpec.finite(np.zeros((2, 1)), np.ones((3, 1)))
+        # a one-row column holds for every row
+        IntegralSpec.finite(np.zeros((1, 1)), np.ones((3, 1)))
+
 
 class TestRecordLayout:
     """The per-row records are slotted: no instance dict, frozen as before."""
@@ -886,9 +968,9 @@ class TestBatchedReference:
     def test_entry_matches_reference(self, rec):
         for r, cfg in self.runs(rec):
             params = [catalog.sample_params(r, cfg.seed, i) for i in range(cfg.samples_per_entry)]
-            specs = [r.make_spec(p) for p in params]
             expected, outcomes = [], []
-            for index, (p, spec) in enumerate(zip(params, specs)):
+            for index, p in enumerate(params):
+                spec = r.make_spec(p)
                 folds = r.make_folds(p) if r.make_folds is not None else None
                 f = r.make_integrand(p)
                 ref = outcome(lambda f, spec: reference_result(f, spec, folds), f, spec)
@@ -899,7 +981,7 @@ class TestBatchedReference:
                 res = None if ref[0] == "EvaluationError" else reference_result(f, spec, folds)
                 closed = catalog.closed_form_value(r, p)
                 outcomes.append(outcome_bits(verify._outcome(r, index, p, closed, res, cfg, 0.0)))
-            # the batched core, with (rows x 1) parameter columns
+            # the batched core, with (rows x 1) parameter columns and one column spec
             cols = columns(params)
 
             def take(rows):
@@ -907,7 +989,8 @@ class TestBatchedReference:
 
             make_folds = None if r.make_folds is None else (lambda rows: r.make_folds(take(rows)))
             found = quad.integrate_rows(
-                lambda rows: r.make_integrand(take(rows)), specs, TOL, make_folds,
+                lambda rows: r.make_integrand(take(rows)), r.make_spec(cols), len(params), TOL,
+                make_folds,
             )
             assert [batched(res) for res in found] == expected
             assert [outcome_bits(o) for o in verify.verify_entry(r, cfg)] == outcomes
@@ -950,6 +1033,8 @@ class TestBatchedRows:
         rows = [dict(mu=mu, **{f"s{i}": sign * s for i, s in enumerate(poles[:npoles])})
                 for mu, poles in ((0.4, (0.5, 2.0)), (0.7, (1.0, 1.6)), (1.3, (0.3, 2.5)))]
         specs = [make_spec(p["mu"], [p[f"s{i}"] for i in range(npoles)]) for p in rows]
+        cols = columns(rows)
+        spec = make_spec(cols["mu"], [cols[f"s{i}"] for i in range(npoles)])
 
         def f(p):
             def g(x, dlo, dhi):
@@ -960,8 +1045,7 @@ class TestBatchedRows:
 
             return g
 
-        cols = columns(rows)
-        found = quad.integrate_rows(lambda r: f({k: v[r] for k, v in cols.items()}), specs, TOL)
+        found = quad.integrate_rows(lambda r: f({k: v[r] for k, v in cols.items()}), spec, 3, TOL)
         expected = [bits(reference_pv(f(p), spec)) for p, spec in zip(rows, specs)]
         assert [bits(res) for res in found] == expected
         assert [bits(quad.integrate_pv(f(p), spec, TOL)) for p, spec in zip(rows, specs)] == expected
@@ -974,7 +1058,7 @@ class TestBatchedRows:
             return lambda x, dlo, dhi: 1.0 / (x - s[r])
 
         specs = [IntegralSpec.finite(0.0, 1.0, poles=(v,)) for v in s[:, 0].tolist()]
-        found = quad.integrate_rows(make_f, specs, TOL)
+        found = quad.integrate_rows(make_f, IntegralSpec.finite(0.0, 1.0, poles=(s,)), 3, TOL)
         assert isinstance(found[1], quad.PoleWindowError)
         assert str(found[1]) == "no symmetric window fits around pole 5e-324"
         for i in (0, 2):
@@ -994,7 +1078,7 @@ class TestBatchedRows:
                 return lambda x, dlo, dhi: np.exp(-1e-308 * (dlo if sign > 0 else dhi)) / (x - t[r])
 
             specs = [make_spec(0.0, poles=(v,)) for v in t[:, 0].tolist()]
-            found = quad.integrate_rows(tail_f, specs, TOL)
+            found = quad.integrate_rows(tail_f, make_spec(0.0, poles=(t,)), 3, TOL)
             assert isinstance(found[1], quad.PoleWindowError)
             assert str(found[1]) == f"no symmetric window fits around pole {sign * 1.5e308!r}"
             with pytest.raises(quad.PoleWindowError):
@@ -1010,7 +1094,7 @@ class TestBatchedRows:
             return lambda x, dlo, dhi: np.where(b[r] == 1.5, np.nan, dlo ** (b[r] - 1.0))
 
         specs = [IntegralSpec.finite(0.0, 1.0, v - 1.0, 0.0) for v in b[:, 0]]
-        found = quad.integrate_rows(make_f, specs, TOL)
+        found = quad.integrate_rows(make_f, IntegralSpec.finite(0.0, 1.0, b - 1.0, 0.0), 3, TOL)
         assert isinstance(found[1], quad.EvaluationError)
         for i in (0, 2):
             def alone(x, dlo, dhi, v=b[i, 0].item()):
@@ -1028,7 +1112,7 @@ class TestBatchedRows:
         spec = IntegralSpec.finite(0.0, 3.0, poles=(0.5, 2.0))
         folds = (fold,) * nfolds
         with pytest.raises(ValueError, match="^folds must align with spec.poles$"):
-            quad.integrate_rows(lambda r: _never_called, [spec, spec], TOL, lambda r: folds)
+            quad.integrate_rows(lambda r: _never_called, spec, 2, TOL, lambda r: folds)
         with pytest.raises(ValueError, match="^folds must align with spec.poles$"):
             quad.integrate_pv(_never_called, spec, TOL, folds=folds)
 
@@ -1039,14 +1123,14 @@ class TestBatchedRows:
         def make_f(r):
             return lambda x, dlo, dhi: np.where(c[r] == 2.0, np.nan, c[r] / (x - 1.0))
 
-        specs = [IntegralSpec.finite(0.0, 2.0, poles=(1.0,))] * 3
-        found = quad.integrate_rows(make_f, specs, TOL)
+        spec = IntegralSpec.finite(0.0, 2.0, poles=(1.0,))
+        found = quad.integrate_rows(make_f, spec, 3, TOL)
         assert isinstance(found[1], quad.EvaluationError)
         for i in (0, 2):
             def alone(x, dlo, dhi, v=c[i, 0].item()):
                 return v / (x - 1.0)
 
-            assert bits(found[i]) == bits(quad.integrate_pv(alone, specs[i], TOL))
+            assert bits(found[i]) == bits(quad.integrate_pv(alone, spec, TOL))
 
     def test_stop_reasons_keep_their_order(self):
         # s * dlo**p + k * |x - 1/pi| on [0, 1], one row per stop reason:
@@ -1065,18 +1149,27 @@ class TestBatchedRows:
             return lambda x, dlo, dhi: sv * dlo ** pv + kv * np.abs(x - 1.0 / math.pi)
 
         spec = IntegralSpec.finite(0.0, 1.0)
-        found = quad.integrate_rows(make_f, [spec] * 4, TOL)
+        found = quad.integrate_rows(make_f, spec, 4, TOL)
         assert [res.status for res in found] == ["converged", "diverging", "diverging", "max_level"]
         assert len(found[2].level_errors) < quad.MIN_LEVEL
         assert [bits(res) for res in found] == [
             bits(reference_integrate(alone(i), spec)) for i in range(4)
         ]
 
-    def test_rows_share_one_domain_shape(self):
-        with pytest.raises(ValueError, match="share one domain kind"):
-            mixed = [IntegralSpec.finite(0.0, 1.0), IntegralSpec.half_line_up(0.0)]
-            quad.integrate_rows(lambda r: _never_called, mixed)
-        assert quad.integrate_rows(lambda r: _never_called, []) == []
+    def test_spec_columns_must_fit_the_rows(self):
+        # a number or a one-row column holds for every row, any other length fails
+        hi = np.array([[1.0], [2.0], [3.0]])
+        with rejects("a spec column of 3 rows does not fit 2 rows"):
+            quad.integrate_rows(lambda r: _never_called, IntegralSpec.finite(0.0, hi), 2)
+        with rejects("a spec column of 3 rows does not fit 1 rows"):
+            quad.integrate(_never_called, IntegralSpec.real_line(poles=(hi,)))
+        def flat(x, dlo, dhi):
+            return np.ones_like(x)
+
+        one = IntegralSpec.finite(0.0, hi[:1])
+        found = quad.integrate_rows(lambda r: flat, one, 2, TOL)
+        assert [bits(res) for res in found] == [bits(quad.integrate_finite(flat, one, TOL))] * 2
+        assert quad.integrate_rows(lambda r: _never_called, one, 0) == []
 
 
 # engine, spec, transform, reference coordinate of side a / side b, smooth base

@@ -128,6 +128,47 @@ class TestVerifyEntry:
         outcomes = verify.verify_entry(scalar_only, cfg)
         assert [o.status for o in outcomes] == ["sample_error"] * 4
         assert [o.params for o in outcomes] == [catalog.sample_params(rec, 7, i) for i in range(4)]
+
+    def test_one_spec_per_entry_batch(self, monkeypatch):
+        # the spec is built once per entry, from the parameter columns: the
+        # count does not grow with the samples
+        built = []
+        check = IntegralSpec.__post_init__
+
+        def counted(spec):
+            built.append(np.ndim(spec.alpha_lo) + np.ndim(spec.lo) + np.ndim(spec.hi) > 0)
+            check(spec)
+
+        monkeypatch.setattr(IntegralSpec, "__post_init__", counted)
+        ids = ("3.191.3", "3.217", "3.223.3", "eq-4.11")
+        for samples in (1, 7):
+            built.clear()
+            cfg = verify.RunConfig(seed=7, samples_per_entry=samples, entry_filter=ids)
+            report = verify.verify_all(cfg)
+            assert report.passes == len(ids) * samples
+            assert len(built) == len(ids)
+        # the fake-parameter checks: one spec for each of their two batches
+        built.clear()
+        verify._check_fake_parameter(verify.RunConfig(samples_per_entry=5), "3.217", "b")
+        assert built == [True, True]
+
+    def test_spec_error_makes_the_batch_sample_errors(self):
+        # a spec row that fails its checks fails the entry's whole batch,
+        # as a factory that rejects columns does
+        rec = catalog.entry("3.191.3")
+        a0 = catalog.sample_params(rec, 7, 0)["a"]
+
+        def make_spec(p):  # sample 0's lower exponent is a - 6 < -1
+            return IntegralSpec.finite(0.0, 1.0, p["a"] - 1.0 - 5.0 * (p["a"] == a0), p["b"] - 1.0)
+
+        params = [catalog.sample_params(rec, 7, i) for i in range(3)]
+        with pytest.raises(ValueError, match="must exceed -1"):
+            make_spec(params[0])
+        for p in params[1:]:
+            make_spec(p)  # the other samples pass alone
+        bad = dataclasses.replace(rec, make_spec=make_spec)
+        outcomes = verify.verify_entry(bad, verify.RunConfig(seed=7, samples_per_entry=3))
+        assert [o.status for o in outcomes] == ["sample_error"] * 3
         assert all(o.evaluations == 0 and math.isnan(o.numeric) for o in outcomes)
 
     def test_non_finite_row_is_a_sample_error_alone(self):
@@ -326,7 +367,7 @@ class TestCrossChecks:
         assert {
             "reflection-grid",
             "duplication-grid",
-            "beta-symmetry",
+            "beta-vs-math-gamma",
             "duplication-chain-3.249.5",
             "fake-parameter-3.217",
             "fake-parameter-3.218",
@@ -334,6 +375,15 @@ class TestCrossChecks:
         for check in report.checks:
             assert check.passed, (check.name, check.worst)
         assert report.verdict == "pass"
+
+    def test_beta_check_fails_on_a_slightly_wrong_beta(self, monkeypatch):
+        cfg = verify.RunConfig(seed=7)
+        assert verify._check_beta_gamma(cfg).passed
+        beta = verify.sf.beta
+        monkeypatch.setattr(verify.sf, "beta", lambda a, b: beta(a, b) * (1.0 + 1e-12))
+        check = verify._check_beta_gamma(cfg)
+        assert not check.passed
+        assert check.worst == pytest.approx(1e-12, rel=0.05)
 
     def test_fake_parameter_tolerances(self):
         cfg = verify.RunConfig(seed=7, samples_per_entry=20)
