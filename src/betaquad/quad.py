@@ -17,10 +17,9 @@ integrate_rows       many integrals of one integrand family at once, one
                      level block for all rows still open.
 
 An IntegralSpec, one for all rows of an ``integrate_rows`` call, is
-validated once, when it is built, and stores an infinite end as -inf or
-+inf.  ``integrate_rows`` broadcasts its ends to (rows x 1) columns and,
-for principal values, its poles to a (rows x poles) array; the driver
-reads nothing else.
+validated when built and stores an infinite end as -inf or +inf.
+``integrate_rows`` broadcasts its ends to (rows x 1) columns and its poles
+to a (rows x poles) array; the driver reads nothing else.
 
 ``betaquad.oracle`` holds an independent Gauss-Kronrod integrator that
 cross-validates these engines in the test suite.
@@ -106,15 +105,16 @@ def _is_column(value):
     return isinstance(value, np.ndarray) and value.shape[1:] == (1,) and value.dtype.kind in "iuf"
 
 
-def _reals(value):
-    """A spec field as (rows x 1) floats, NaN if it is no real or column of reals."""
-    if _is_column(value):
-        return value.astype(float, copy=False)
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)  # not 0 or 1 here
+def _real(value):
+    """A spec field as a float or a column, NaN if it is no real or column of reals."""
+    if type(value) is float or _is_column(value):
+        return value
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):  # not 0 or 1 here
+        return math.nan
     try:
-        return np.full((1, 1), float(value) if real else math.nan)
+        return float(value)
     except OverflowError:  # an integer too large for a float
-        return np.full((1, 1), math.inf if value > 0 else -math.inf)
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,11 +130,11 @@ class IntegralSpec:
     every end is a number next to its exponent.  An infinite end is given
     as None or as that same infinity (what ``dataclasses.replace`` passes
     back) and takes a zero exponent; a finite domain's width ``hi - lo``
-    must be finite.  Poles are simple, sorted in each row, and trigger
-    principal-value treatment.  An end, exponent or pole that is a bool or
-    not a real number fails its check with that check's ValueError.  Each
-    may be a (rows x 1) column, all of one length: every row is checked as
-    its own spec, and a pole message names the first failing row's values.
+    must be finite.  Poles, any iterable but a string, are simple, sorted
+    in each row, and trigger principal-value treatment.  A bool or non-real
+    field fails its check with that check's ValueError.  Each field may be
+    a (rows x 1) column, all of one length but for one-row columns, and each
+    row is checked, and named in a pole message, as its own spec would be.
     """
 
     kind: str  # "finite" | "half_line_up" | "half_line_down" | "real_line"
@@ -148,50 +148,52 @@ class IntegralSpec:
         ends = _INFINITE_ENDS.get(self.kind)
         if ends is None:
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        poles = self.poles
-        if not isinstance(poles, (tuple, list)):
-            raise ValueError("poles must be a tuple or list of interior poles")
-        fields = (self.lo, self.hi, self.alpha_lo, self.alpha_hi, *poles)
-        if len({len(v) for v in fields if _is_column(v)} - {1}) > 1:
+        if isinstance(self.poles, str) or not np.iterable(self.poles):
+            raise ValueError("poles must be an iterable of interior poles")
+        poles = tuple(self.poles)
+        # a table row per spec row: lo, hi, alpha_lo, alpha_hi, hi - lo, the poles;
+        # None stands for an infinite end, NaN for no real number and fails every check
+        lo, hi = (e if v is None else v for v, e in zip((self.lo, self.hi), ends))
+        values = [_real(v) for v in (lo, hi, self.alpha_lo, self.alpha_hi, math.nan, *poles)]
+        rows = {len(v) for v in values if type(v) is not float} - {1}
+        if len(rows) > 1:
             raise ValueError("spec columns must share one length")
-        # NaN, standing for a value that is not a real number, fails every check
-        alpha_lo, alpha_hi = _reals(self.alpha_lo), _reals(self.alpha_hi)
-        if not ((alpha_lo > -1.0) & (alpha_hi > -1.0)).all():
+        x = np.empty((max(rows, default=1), len(values)))
+        for k, value in enumerate(values):
+            x[:, k] = value if type(value) is float else value[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x[:, 4] = x[:, 1] - x[:, 0]
+        # a check holds in every row if it holds for each field's extremes (NaN if any is)
+        low, high = x[:, :5].min(axis=0).tolist(), x[:, :5].max(axis=0).tolist()
+        if not (low[2] > -1.0 and low[3] > -1.0):
             raise ValueError("endpoint exponents must exceed -1 for integrability")
-        if not (np.isfinite(alpha_lo) & np.isfinite(alpha_hi)).all():
+        if not (high[2] < math.inf and high[3] < math.inf):
             raise ValueError("endpoint exponents must be finite")
-        sides = zip(("lower", "upper"), ("lo", "hi"), (alpha_lo, alpha_hi), ends)
-        for name, attr, alpha, infinity in sides:
-            end = getattr(self, attr)
+        for k, name, attr, infinity in ((0, "lower", "lo", ends[0]), (1, "upper", "hi", ends[1])):
             if infinity is None:
-                if not np.isfinite(_reals(end)).all():
+                if not -math.inf < low[k] <= high[k] < math.inf:
                     raise ValueError(f"{self.kind} requires a finite {name} endpoint")
-            elif (end is not None and not (_reals(end) == infinity).all()) or (alpha != 0.0).any():
+            elif not low[k] == high[k] == infinity or not low[k + 2] == high[k + 2] == 0.0:
                 raise ValueError(f"{self.kind} takes no {name} endpoint or exponent (infinite end)")
             else:
                 object.__setattr__(self, attr, infinity)
-        lo, hi = _reals(self.lo), _reals(self.hi)
-        if self.kind == "finite":
-            if not (lo < hi).all():
-                raise ValueError("finite domain requires lo < hi")
-            with np.errstate(over="ignore"):
-                if not np.isfinite(hi - lo).all():
-                    raise ValueError("finite domain width hi - lo overflows")
-        if not poles:  # nothing to check
-            object.__setattr__(self, "poles", ())
-            return
-        s = np.hstack(np.broadcast_arrays(*map(_reals, poles)))  # (rows x poles)
-        ordered = np.sort(s, axis=1)  # NaN sorts last and equals nothing
-        if (ordered[:, 1:] == ordered[:, :-1]).any():
-            raise ValueError("interior poles must be pairwise distinct")
-        outside = ~((lo < s) & (s < hi))
-        if outside.any():
-            r = outside.any(axis=1).argmax()
-            v, lo, hi = (x[r, 0].item() if _is_column(x) else x
-                         for x in (poles[outside[r].argmax()], self.lo, self.hi))
-            raise ValueError(f"pole {v!r} is not strictly inside ({lo}, {hi})")
-        columns = any(map(_is_column, poles))
-        poles = tuple(ordered.T[..., None]) if columns else tuple(sorted(poles))
+        # hi - lo of finite ends is 0 or less unless lo < hi
+        if self.kind == "finite" and not low[4] > 0.0:
+            raise ValueError("finite domain requires lo < hi")
+        if self.kind == "finite" and not high[4] < math.inf:
+            raise ValueError("finite domain width hi - lo overflows")
+        if poles:
+            s = x[:, 5:]  # (rows x poles)
+            ordered = np.sort(s, axis=1)  # NaN sorts last and equals nothing
+            if (ordered[:, 1:] == ordered[:, :-1]).any():
+                raise ValueError("interior poles must be pairwise distinct")
+            outside = ~((x[:, :1] < s) & (s < x[:, 1:2]))
+            if outside.any():  # name the first failing row's values
+                r, k = np.unravel_index(outside.argmax(), outside.shape)
+                v, lo, hi = (f[min(r, len(f) - 1), 0].item() if _is_column(f) else f
+                             for f in (poles[k], self.lo, self.hi))
+                raise ValueError(f"pole {v!r} is not strictly inside ({lo}, {hi})")
+            poles = tuple(ordered.T[..., None]) if any(map(_is_column, poles)) else tuple(sorted(poles))
         object.__setattr__(self, "poles", poles)
 
     # convenience constructors -------------------------------------------
@@ -614,16 +616,14 @@ def _one(results):
 def integrate_rows(make_f, spec, nrows, tol: float = DEFAULT_TOL, make_folds=None) -> list:
     """Integrate ``nrows`` rows of one integrand family at once.
 
-    ``spec`` is one spec for all rows: a number or a one-row column holds
-    for every row, a column of ``nrows`` for each row, any other length
-    raises ValueError; the driver reads only its ends and poles.
-    ``make_f(rows)`` returns the integrand of the rows indexed by the
-    integer array ``rows``, with each parameter a (len(rows) x 1) column;
-    ``make_folds(rows)``, when given, returns their PV window folds the
-    same way, one per pole (any other count raises ValueError).  Each call
-    evaluates one level block for every open row, and every row gets
-    exactly the result it gets alone: the one-row engines are this
-    function's one-row case.
+    ``spec`` holds for all rows: a number or one-row column for every row,
+    a column of ``nrows`` for each row (another length raises ValueError);
+    the driver reads only its ends and poles.  ``make_f(rows)`` returns the
+    integrand of the rows indexed by the integer array ``rows``, with each
+    parameter a (len(rows) x 1) column; ``make_folds(rows)``, when given,
+    returns their PV window folds the same way, one per pole (any other
+    count raises ValueError).  Each call evaluates one level block for every
+    open row, and every row gets exactly the result it gets alone.
 
     Returns one QuadratureResult per row, or the QuadratureError that row
     raised.  An exception raised by an integrand itself propagates.
@@ -632,14 +632,16 @@ def integrate_rows(make_f, spec, nrows, tol: float = DEFAULT_TOL, make_folds=Non
         raise ValueError("tol must be positive and finite")
     if len(spec.poles) > 2:
         raise ValueError("at most two interior poles are supported")
-    cols = [np.asarray(v, dtype=float).reshape(-1, 1) for v in (spec.lo, spec.hi, *spec.poles)]
-    for n in {len(c) for c in cols} - {1, nrows}:
-        raise ValueError(f"a spec column of {n} rows does not fit {nrows} rows")
+    ends = np.empty((nrows, 2 + len(spec.poles)))  # lo, hi, then the poles
+    for k, value in enumerate((spec.lo, spec.hi, *spec.poles)):
+        if isinstance(value, np.ndarray) and len(value) not in (1, nrows):
+            raise ValueError(f"a spec column of {len(value)} rows does not fit {nrows} rows")
+        ends[:, k:k + 1] = value
     if not nrows:
         return []
-    lo, hi, *poles = (np.broadcast_to(c, (nrows, 1)) for c in cols)
-    if poles:
-        return _pv_rows(make_f, lo, hi, np.hstack(poles), tol, make_folds)
+    lo, hi = ends[:, :1], ends[:, 1:2]
+    if spec.poles:
+        return _pv_rows(make_f, lo, hi, ends[:, 2:], tol, make_folds)
     return _drive(make_f, lo, hi, tol)
 
 
@@ -803,8 +805,7 @@ def _pv_rows(make_f, lo, hi, pole, tol, make_folds):
 
 
 def integrate(f, spec: IntegralSpec, tol: float = DEFAULT_TOL, folds=None) -> QuadratureResult:
-    """One integral: a principal value through ``integrate_pv``, any other
-    straight through ``integrate_rows`` as its one row."""
+    """One integral, as the one row of ``integrate_rows`` unless a principal value."""
     if spec.poles:
         return integrate_pv(f, spec, tol, folds=folds)
     return _one(integrate_rows(lambda rows: f, spec, 1, tol))

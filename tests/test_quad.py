@@ -178,11 +178,14 @@ class TestSpecValidation:
         with rejects("endpoint exponents must exceed -1 for integrability"):
             IntegralSpec.finite(0.0, 1.0, alpha_hi=-10**400)
 
-    def test_poles_must_be_a_tuple_or_list(self):
-        with rejects("poles must be a tuple or list of interior poles"):
-            IntegralSpec.finite(0.0, 1.0, poles=None)
-        with rejects("poles must be a tuple or list of interior poles"):
-            IntegralSpec("real_line", poles=0.5)
+    def test_poles_must_be_an_iterable(self):
+        for poles in (None, 0.5, "0.5"):
+            with rejects("poles must be an iterable of interior poles"):
+                IntegralSpec("real_line", poles=poles)
+        # any other iterable is taken as a tuple
+        spec = IntegralSpec.finite(0.0, 3.0, poles=(2.0, 1.0))
+        for poles in ([2.0, 1.0], np.array([2.0, 1.0]), (s for s in (2.0, 1.0)), range(2, 0, -1)):
+            assert IntegralSpec.finite(0.0, 3.0, poles=poles) == spec
 
     def test_list_pole_is_not_a_column(self):
         with rejects("pole [0.5] is not strictly inside (0.0, 1.0)"):
@@ -251,6 +254,13 @@ class TestColumnSpec:
             IntegralSpec.finite(np.zeros((2, 1)), np.ones((3, 1)))
         # a one-row column holds for every row
         IntegralSpec.finite(np.zeros((1, 1)), np.ones((3, 1)))
+
+    def test_one_row_column_names_the_failing_rows_values(self):
+        # the ends hold for every row: row 1's message reads them from row 0
+        with rejects("pole 2.0 is not strictly inside (0.0, 1.0)"):
+            IntegralSpec.finite(np.zeros((1, 1)), np.ones((1, 1)), poles=(np.array([[0.5], [2.0]]),))
+        with rejects("pole 3 is not strictly inside (-inf, 0.0)"):
+            IntegralSpec.half_line_down(np.zeros((1, 1)), poles=(np.array([[-1], [-2], [3]]), -0.5))
 
 
 class TestRecordLayout:

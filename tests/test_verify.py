@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import itertools
 import json
 import math
 import pickle
@@ -128,6 +129,7 @@ class TestVerifyEntry:
         outcomes = verify.verify_entry(scalar_only, cfg)
         assert [o.status for o in outcomes] == ["sample_error"] * 4
         assert [o.params for o in outcomes] == [catalog.sample_params(rec, 7, i) for i in range(4)]
+        assert all(o.evaluations == 0 and math.isnan(o.numeric) for o in outcomes)
 
     def test_one_spec_per_entry_batch(self, monkeypatch):
         # the spec is built once per entry, from the parameter columns: the
@@ -384,6 +386,11 @@ class TestCrossChecks:
         check = verify._check_beta_gamma(cfg)
         assert not check.passed
         assert check.worst == pytest.approx(1e-12, rel=0.05)
+        # one NaN among the 1000 pairs fails it too
+        calls = itertools.count()
+        monkeypatch.setattr(verify.sf, "beta", lambda a, b: math.nan if next(calls) == 500 else beta(a, b))
+        check = verify._check_beta_gamma(cfg)
+        assert not check.passed and math.isnan(check.worst)
 
     def test_fake_parameter_tolerances(self):
         cfg = verify.RunConfig(seed=7, samples_per_entry=20)
