@@ -71,8 +71,6 @@ __all__ = [
 MAX_LEVEL = 12
 MIN_LEVEL = 3
 DEFAULT_TOL = 1e-10
-# accept a stalled-but-small error estimate down at this relative level
-ACCEPTED_TOL = 1e-8
 
 _T_RANGE = 7.5          # node generation range in the DE parameter t
 _TINY = 1e-305          # drop nodes once weights/distances underflow here
@@ -106,15 +104,19 @@ def _is_column(value):
 
 
 def _real(value):
-    """A spec field as a float or a column, NaN if it is no real or column of reals."""
+    """A spec field as a float or a float column, NaN if it is no real or column of reals."""
     if type(value) is float or _is_column(value):
-        return value
+        return value if type(value) is float else value.astype(float, copy=False)
     if not isinstance(value, numbers.Real) or isinstance(value, bool):  # not 0 or 1 here
         return math.nan
     try:
         return float(value)
     except OverflowError:  # an integer too large for a float
         return math.inf if value > 0 else -math.inf
+
+
+def _span(value):
+    return (value, value) if type(value) is float else (value.min(), value.max())
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,7 +136,8 @@ class IntegralSpec:
     in each row, and trigger principal-value treatment.  A bool or non-real
     field fails its check with that check's ValueError.  Each field may be
     a (rows x 1) column, all of one length but for one-row columns, and each
-    row is checked, and named in a pole message, as its own spec would be.
+    row is checked, and named in a pole message, as its own spec would be:
+    ends, exponents and width by their float extremes (NaN if any row is).
     """
 
     kind: str  # "finite" | "half_line_up" | "half_line_down" | "real_line"
@@ -151,43 +154,39 @@ class IntegralSpec:
         if isinstance(self.poles, str) or not np.iterable(self.poles):
             raise ValueError("poles must be an iterable of interior poles")
         poles = tuple(self.poles)
-        # a table row per spec row: lo, hi, alpha_lo, alpha_hi, hi - lo, the poles;
         # None stands for an infinite end, NaN for no real number and fails every check
         lo, hi = (e if v is None else v for v, e in zip((self.lo, self.hi), ends))
-        values = [_real(v) for v in (lo, hi, self.alpha_lo, self.alpha_hi, math.nan, *poles)]
-        rows = {len(v) for v in values if type(v) is not float} - {1}
-        if len(rows) > 1:
-            raise ValueError("spec columns must share one length")
-        x = np.empty((max(rows, default=1), len(values)))
-        for k, value in enumerate(values):
-            x[:, k] = value if type(value) is float else value[:, 0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            x[:, 4] = x[:, 1] - x[:, 0]
-        # a check holds in every row if it holds for each field's extremes (NaN if any is)
-        low, high = x[:, :5].min(axis=0).tolist(), x[:, :5].max(axis=0).tolist()
-        if not (low[2] > -1.0 and low[3] > -1.0):
+        lo, hi, alpha_lo, alpha_hi, *at = map(_real, (lo, hi, self.alpha_lo, self.alpha_hi, *poles))
+        rows = {len(v) for v in (lo, hi, alpha_lo, alpha_hi, *at) if type(v) is not float}
+        if 0 in rows or len(rows - {1}) > 1:
+            raise ValueError("spec columns must have at least one row" if 0 in rows
+                             else "spec columns must share one length")
+        sides = [(_span(lo), _span(alpha_lo)), (_span(hi), _span(alpha_hi))]
+        if not all(alpha_low > -1.0 for _, (alpha_low, _) in sides):
             raise ValueError("endpoint exponents must exceed -1 for integrability")
-        if not (high[2] < math.inf and high[3] < math.inf):
+        if not all(alpha_high < math.inf for _, (_, alpha_high) in sides):
             raise ValueError("endpoint exponents must be finite")
-        for k, name, attr, infinity in ((0, "lower", "lo", ends[0]), (1, "upper", "hi", ends[1])):
-            if infinity is None:
-                if not -math.inf < low[k] <= high[k] < math.inf:
-                    raise ValueError(f"{self.kind} requires a finite {name} endpoint")
-            elif not low[k] == high[k] == infinity or not low[k + 2] == high[k + 2] == 0.0:
-                raise ValueError(f"{self.kind} takes no {name} endpoint or exponent (infinite end)")
-            else:
+        for name, attr, ((low, high), alpha), infinity in zip(("lower", "upper"), ("lo", "hi"), sides, ends):
+            if infinity is None and not -math.inf < low <= high < math.inf:
+                raise ValueError(f"{self.kind} requires a finite {name} endpoint")
+            if infinity is not None:
+                if not low == high == infinity or alpha != (0.0, 0.0):
+                    raise ValueError(f"{self.kind} takes no {name} endpoint or exponent (infinite end)")
                 object.__setattr__(self, attr, infinity)
-        # hi - lo of finite ends is 0 or less unless lo < hi
-        if self.kind == "finite" and not low[4] > 0.0:
+        with np.errstate(over="ignore"):
+            low, high = _span(hi - lo)  # hi - lo of finite ends is 0 or less unless lo < hi
+        if self.kind == "finite" and not low > 0.0:
             raise ValueError("finite domain requires lo < hi")
-        if self.kind == "finite" and not high[4] < math.inf:
+        if self.kind == "finite" and not high < math.inf:
             raise ValueError("finite domain width hi - lo overflows")
         if poles:
-            s = x[:, 5:]  # (rows x poles)
+            s = np.empty((max(rows, default=1), len(at)))  # (rows x poles)
+            for k, p in enumerate(at):
+                s[:, k:k + 1] = p
             ordered = np.sort(s, axis=1)  # NaN sorts last and equals nothing
             if (ordered[:, 1:] == ordered[:, :-1]).any():
                 raise ValueError("interior poles must be pairwise distinct")
-            outside = ~((x[:, :1] < s) & (s < x[:, 1:2]))
+            outside = ~((lo < s) & (s < hi))
             if outside.any():  # name the first failing row's values
                 r, k = np.unravel_index(outside.argmax(), outside.shape)
                 v, lo, hi = (f[min(r, len(f) - 1), 0].item() if _is_column(f) else f

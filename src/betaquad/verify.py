@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 ENGINE_REQUEST_TOL = quad.DEFAULT_TOL   # 1e-10 requested from the engines
-ENGINE_ACCEPT_TOL = quad.ACCEPTED_TOL   # 1e-8 certified estimate still accepted
+ENGINE_ACCEPT_TOL = 1e-8               # a stalled run's estimate still accepted, relative
 REL_ERR_FLOOR = 1e-300
 
 

@@ -1,5 +1,6 @@
 """Shared fixtures."""
 
+import dataclasses
 import os
 from pathlib import Path
 
@@ -15,3 +16,13 @@ def package_env():
     src = str(Path(betaquad.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return dict(os.environ, PYTHONPATH=path)
+
+
+@pytest.fixture
+def with_margin():
+    """``with_margin(rec, margin)``: the catalog record ``rec`` with another
+    sampling margin."""
+    def replace(rec, margin):
+        return dataclasses.replace(rec, domain=dataclasses.replace(rec.domain, margin=margin))
+
+    return replace

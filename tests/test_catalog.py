@@ -1,7 +1,6 @@
 """Catalog roster integrity, sampling determinism, closed-form spot values,
 and the endpoint-exponent audit."""
 
-import dataclasses
 import hashlib
 import importlib.util
 import itertools
@@ -67,7 +66,7 @@ class TestRoster:
         for rec in catalog.all_entries():
             assert rec.domain.margin == 0.05
 
-    def test_column_spec_rows_match_lone_specs(self):
+    def test_column_spec_rows_match_lone_specs(self, with_margin):
         # verify builds one spec per entry from parameter columns: each row
         # holds its lone sample's spec bit for bit, poles in ascending order
         def row(value, r):
@@ -75,7 +74,7 @@ class TestRoster:
 
         for rec in catalog.all_entries():
             for margin in (0.05, 0.01, 0.002):
-                edge = dataclasses.replace(rec, domain=dataclasses.replace(rec.domain, margin=margin))
+                edge = with_margin(rec, margin)
                 for seed in (7, 11):
                     params = [catalog.sample_params(edge, seed, index) for index in range(20)]
                     spec = rec.make_spec({n: np.array([p[n] for p in params])[:, None] for n in params[0]})

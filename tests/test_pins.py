@@ -8,7 +8,6 @@ floating-point results, so they are pinned together with the environment
 that produced them, and the byte test is skipped elsewhere.
 """
 
-import dataclasses
 import hashlib
 import platform
 
@@ -27,14 +26,14 @@ def sha256(value):
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
-def test_parameter_stream():
+def test_parameter_stream(with_margin):
     """Every draw of 20 samples per entry at seed 7, at the default margin
     and then at the 0.01 edge margin."""
     rows = []
     for margin in (None, 0.01):
         for rec in sorted(catalog.all_entries(), key=lambda r: r.id):
             if margin is not None:
-                rec = dataclasses.replace(rec, domain=dataclasses.replace(rec.domain, margin=margin))
+                rec = with_margin(rec, margin)
             rows += [(rec.id, i, list(catalog.sample_params(rec, 7, i).items())) for i in range(20)]
     assert sha256(rows) == "435d2f78d61f497c44be753b903a6c27bbed9eff71ffc5d43f87d84c5ed18798"
 

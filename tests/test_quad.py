@@ -262,6 +262,23 @@ class TestColumnSpec:
         with rejects("pole 3 is not strictly inside (-inf, 0.0)"):
             IntegralSpec.half_line_down(np.zeros((1, 1)), poles=(np.array([[-1], [-2], [3]]), -0.5))
 
+    @pytest.mark.parametrize("fields", [
+        dict(lo=np.zeros((0, 1)), hi=1.0),
+        dict(lo=0.0, hi=1.0, alpha_lo=np.zeros((0, 1))),
+        dict(lo=0.0, hi=1.0, poles=(np.full((0, 1), 0.5),)),
+    ], ids=["end", "exponent", "pole"])
+    def test_zero_row_columns_are_rejected(self, fields):
+        with rejects("spec columns must have at least one row"):
+            IntegralSpec("finite", **fields)
+
+    def test_integer_columns_are_checked_in_float(self):
+        # hi - lo is 2**63 in row 0, which wraps negative in int64
+        lo, hi = np.array([[-2**62], [-4]]), np.array([[2**62], [4]])
+        spec = IntegralSpec.finite(lo, hi, poles=(np.array([[1], [-1]]), np.array([[-3], [2]])))
+        assert spec.lo is lo and spec.hi is hi
+        assert all(s.dtype == float and s.shape == (2, 1) for s in spec.poles)
+        np.testing.assert_array_equal(np.hstack(spec.poles), [[-3.0, 1.0], [-1.0, 2.0]])
+
 
 class TestRecordLayout:
     """The per-row records are slotted: no instance dict, frozen as before."""
@@ -824,10 +841,10 @@ class TestReferenceEvaluation:
         "rec", [r for r in catalog.all_entries() if not r.make_spec(catalog.mid_params(r)).poles],
         ids=lambda r: r.id,
     )
-    def test_catalog_entry(self, rec):
+    def test_catalog_entry(self, rec, with_margin):
         """mid_params, then four samples at the 0.01 edge margin; at
         mid_params also every block's (sum, count, edge) triples."""
-        edge = dataclasses.replace(rec, domain=dataclasses.replace(rec.domain, margin=0.01))
+        edge = with_margin(rec, 0.01)
         points = [catalog.mid_params(rec)] + [catalog.sample_params(edge, 7, i) for i in range(4)]
         for params in points:
             f, spec = rec.make_integrand(params), rec.make_spec(params)
@@ -836,10 +853,10 @@ class TestReferenceEvaluation:
         assert block_triples(engine_level_sum(f, spec)) == block_triples(reference_level_sum(f, spec))
 
     @pytest.mark.parametrize("entry_id", ["3.192.3", "3.192.4"])
-    def test_catalog_sweep_reaches_max_level(self, entry_id):
+    def test_catalog_sweep_reaches_max_level(self, entry_id, with_margin):
         # sample 3 at the edge margin uses every level (finite, half-line)
         rec = catalog.entry(entry_id)
-        edge = dataclasses.replace(rec, domain=dataclasses.replace(rec.domain, margin=0.01))
+        edge = with_margin(rec, 0.01)
         params = catalog.sample_params(edge, 7, 3)
         res = engine_integrate(rec.make_integrand(params), rec.make_spec(params))
         assert len(res.level_errors) == quad.MAX_LEVEL
@@ -969,14 +986,13 @@ class TestBatchedReference:
     margin, then 4 at the 0.01 edge margin."""
 
     @staticmethod
-    def runs(rec):
-        edge = dataclasses.replace(rec, domain=dataclasses.replace(rec.domain, margin=0.01))
+    def runs(rec, with_margin):
         return [(rec, verify.RunConfig(seed=7, samples_per_entry=20)),
-                (edge, verify.RunConfig(seed=7, samples_per_entry=4))]
+                (with_margin(rec, 0.01), verify.RunConfig(seed=7, samples_per_entry=4))]
 
     @pytest.mark.parametrize("rec", catalog.all_entries(), ids=lambda r: r.id)
-    def test_entry_matches_reference(self, rec):
-        for r, cfg in self.runs(rec):
+    def test_entry_matches_reference(self, rec, with_margin):
+        for r, cfg in self.runs(rec, with_margin):
             params = [catalog.sample_params(r, cfg.seed, i) for i in range(cfg.samples_per_entry)]
             expected, outcomes = [], []
             for index, p in enumerate(params):

@@ -348,11 +348,11 @@ class TestCorrectnessLedger:
         ("4.251.1", 5, "quad_nonconverged"),
     }
 
-    def test_margin_one_percent_nonpasses(self):
+    def test_margin_one_percent_nonpasses(self, with_margin):
         cfg = verify.RunConfig(seed=7, samples_per_entry=20)
         found = set()
         for rec in catalog.all_entries():
-            rec = dataclasses.replace(rec, domain=dataclasses.replace(rec.domain, margin=0.01))
+            rec = with_margin(rec, 0.01)
             found |= {
                 (o.entry_id, o.sample_index, o.status)
                 for o in verify.verify_entry(rec, cfg) if o.status != "pass"
