@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import gc
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -214,6 +215,29 @@ class TestVerifyCommand:
         error = "EvaluationError" if where == "row" else "ValueError: integrand unavailable"
         assert error in failed.detail
         assert all(c.passed for name, c in checks.items() if name != "fake-parameter-3.217")
+
+    def test_duplication_chain_sample_error_fails_the_check(self, capsys, tmp_path, monkeypatch):
+        # a closed form that raises in the 3.249.5 chain fails that check,
+        # as a sample error fails a fake-parameter check; the report is
+        # complete, and its verdict fails although every outcome passes
+        rec = catalog.entry("3.249.5")
+        broken = dataclasses.replace(rec, closed_form=lambda p: math.nan)
+        entry = catalog.entry
+        monkeypatch.setattr(catalog, "entry", lambda eid: broken if eid == "3.249.5" else entry(eid))
+        path = tmp_path / "report.jsonl"
+        assert run(["verify", "--samples", "1", "--report", str(path)]) == 1
+        lines = path.read_text().splitlines()
+        assert len(lines) == catalog.EXPECTED_ENTRY_COUNT + 1
+        summary = json.loads(lines[-1])
+        assert summary["failures"] == 0 and summary["verdict"] == "fail"
+        capsys.readouterr()
+
+        report = verify.cross_check_consistency(verify.RunConfig(seed=7))
+        checks = {c.name: c for c in report.checks}
+        failed = checks["duplication-chain-3.249.5"]
+        assert not failed.passed and math.isnan(failed.worst)
+        assert "ValueError: closed form of '3.249.5' is non-finite" in failed.detail
+        assert all(c.passed for name, c in checks.items() if name != "duplication-chain-3.249.5")
 
 
 def test_cli_names_no_private_verify_attribute():

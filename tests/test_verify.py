@@ -151,7 +151,8 @@ class TestVerifyEntry:
             assert len(built) == len(ids)
         # the fake-parameter checks: one spec for each of their two batches
         built.clear()
-        verify._check_fake_parameter(verify.RunConfig(samples_per_entry=5), "3.217", "b")
+        cfg = verify.RunConfig(samples_per_entry=5)
+        verify._check("fake", "", verify._fake_parameter(cfg, "3.217", "b"))
         assert built == [True, True]
 
     def test_spec_error_makes_the_batch_sample_errors(self):
@@ -380,17 +381,61 @@ class TestCrossChecks:
 
     def test_beta_check_fails_on_a_slightly_wrong_beta(self, monkeypatch):
         cfg = verify.RunConfig(seed=7)
-        assert verify._check_beta_gamma(cfg).passed
+
+        def beta_check():
+            return verify._check("beta-vs-math-gamma", "", verify._beta_gamma(cfg))
+
+        assert beta_check().passed
         beta = verify.sf.beta
         monkeypatch.setattr(verify.sf, "beta", lambda a, b: beta(a, b) * (1.0 + 1e-12))
-        check = verify._check_beta_gamma(cfg)
+        check = beta_check()
         assert not check.passed
         assert check.worst == pytest.approx(1e-12, rel=0.05)
-        # one NaN among the 1000 pairs fails it too
-        calls = itertools.count()
-        monkeypatch.setattr(verify.sf, "beta", lambda a, b: math.nan if next(calls) == 500 else beta(a, b))
-        check = verify._check_beta_gamma(cfg)
-        assert not check.passed and math.isnan(check.worst)
+
+    @pytest.mark.parametrize("name", [
+        "reflection-grid", "duplication-grid", "beta-vs-math-gamma", "duplication-chain-3.249.5",
+    ])
+    def test_a_nan_residual_fails_its_check(self, monkeypatch, name):
+        # one NaN residual fails the check that meets it, and only that one
+        beta = verify.sf.beta
+        if name == "reflection-grid":
+            monkeypatch.setattr(verify.sf, "reflection_residual", lambda a: math.nan)
+        elif name == "duplication-grid":
+            monkeypatch.setattr(verify.sf, "duplication_residual", lambda a: math.nan)
+        elif name == "beta-vs-math-gamma":
+            # one NaN among the 1000 pairs
+            calls = itertools.count()
+            monkeypatch.setattr(
+                verify.sf, "beta", lambda a, b: math.nan if next(calls) == 500 else beta(a, b)
+            )
+        else:
+            # only the doubled form 2^(2b-2) B(b,b); B(1/2,b)/2 stays finite
+            monkeypatch.setattr(verify.sf, "beta", lambda a, b: math.nan if a == b else beta(a, b))
+        report = verify.cross_check_consistency(verify.RunConfig(seed=7))
+        checks = {c.name: c for c in report.checks}
+        assert not checks[name].passed and math.isnan(checks[name].worst)
+        assert all(c.passed for c in checks.values() if c.name != name)
+
+    def test_fake_parameter_fails_on_a_draw_that_did_not_converge(self, monkeypatch):
+        # its residuals stay within bound, and worst is unchanged
+        cfg = verify.RunConfig(seed=7, samples_per_entry=5)
+
+        def fake_check():
+            return verify._check("fake", "", verify._fake_parameter(cfg, "3.217", "b"))
+
+        sound = fake_check()
+        assert sound.passed
+        batch = verify._batch
+
+        def one_stalled(rec, params):
+            found = batch(rec, params)
+            found[2] = dataclasses.replace(found[2], status="max_level")
+            return found
+
+        monkeypatch.setattr(verify, "_batch", one_stalled)
+        check = fake_check()
+        assert not check.passed
+        assert check.worst == sound.worst
 
     def test_fake_parameter_tolerances(self):
         cfg = verify.RunConfig(seed=7, samples_per_entry=20)
