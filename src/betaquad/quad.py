@@ -489,7 +489,8 @@ def _drive(make_f, lo, hi, tol):
     next level, so I_k = I_{k-1}/2 + h_k * S_k, row by row.  Vectorised
     masks decide which rows stop at a level and ``_verdict`` why (see
     QuadratureResult), with the same arithmetic for each row as for a
-    lone integral.
+    lone integral.  A row that stops, or whose integrand returned a
+    non-finite value, leaves the open arrays at the end of its level block.
 
     Returns one QuadratureResult per row, or the EvaluationError of a row
     whose integrand returned a non-finite value.
@@ -498,13 +499,15 @@ def _drive(make_f, lo, hi, tol):
     nrows = lo.shape[0]
     results = [None] * nrows
     # per open row, aligned with ``rows``: the level differences so far,
-    # the last value (none before level 0) and difference, and whether the
-    # difference grew at the last level
+    # the last value (none before level 0), and whether the difference grew
+    # at the last level; level 0's difference is inf, and no row is met or
+    # spiralling before it is tested
     rows = np.arange(nrows)
     history = np.empty((nrows, MAX_LEVEL))
     prev = np.zeros(nrows)
     diff = np.full(nrows, math.inf)
     rising = np.zeros(nrows, dtype=bool)
+    met = spiral = np.zeros(nrows, dtype=bool)
     evals = 0
     # every integrand call runs inside this loop, so one errstate covers them all
     with np.errstate(all="ignore"):
@@ -518,21 +521,16 @@ def _drive(make_f, lo, hi, tol):
             if fv.shape != shape:
                 fv = np.broadcast_to(fv, shape)
             sums, edges = _level_sums(blk, fv, scale, centre_w)
+            # the block's rows still open, or None while every row is
             keep = _non_finite_rows(results, rows, x, fv, sums)
-            if keep is not None:
-                rows, history, prev, diff, rising, sums, edges = (
-                    a[keep] for a in (rows, history, prev, diff, rising, sums, edges)
-                )
             for k, n in enumerate(blk.counts):
-                if not rows.size:
-                    break
                 level = first + k
                 evals += n
                 h = 0.5 ** level
                 value = h * sums[:, k]
                 if level:
                     value += 0.5 * prev
-                    prev_diff, diff = diff, np.abs(value - prev)
+                    diff = np.abs(value - prev)
                     history[:, level - 1] = diff
                 stop = ~np.isfinite(value)
                 if level >= MIN_LEVEL:
@@ -541,29 +539,29 @@ def _drive(make_f, lo, hi, tol):
                     stop |= met
                     if level >= 4:
                         # two levels in a row whose difference grew past the limit
-                        up = (diff > prev_diff) & (diff > limit)
+                        up = (diff > history[:, level - 2]) & (diff > limit)
                         spiral = up & rising
                         rising = up
                         stop |= spiral
                 if level == MAX_LEVEL:
                     stop[:] = True
                 prev = value
+                if keep is not None:
+                    stop &= keep
                 if stop.any():
                     done = np.flatnonzero(stop)
-                    no = [False] * done.size
                     for r, v, d, tail, m, s, hist in zip(
                         rows[done].tolist(), value[done].tolist(), diff[done].tolist(),
                         (h * edges[done, k]).tolist(),
-                        met[done].tolist() if level >= MIN_LEVEL else no,
-                        spiral[done].tolist() if level >= 4 else no,
+                        met[done].tolist(),
+                        spiral[done].tolist(),
                         history[done, :level].tolist(),
                     ):
                         status, estimate, depth = _verdict(level, tol, v, d, tail, m, s)
                         results[r] = QuadratureResult(v, estimate, evals, status, tuple(hist[:depth]))
-                    keep = ~stop
-                    rows, history, prev, diff, rising, sums, edges = (
-                        a[keep] for a in (rows, history, prev, diff, rising, sums, edges)
-                    )
+                    keep = ~stop if keep is None else keep & ~stop
+            if keep is not None:
+                rows, history, prev, rising = (a[keep] for a in (rows, history, prev, rising))
     return results
 
 

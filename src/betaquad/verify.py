@@ -64,6 +64,9 @@ class RunConfig:
             # a float or bool seed would hash to a stream of its own
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
+            # one owner of the value: a numpy integer is stored as the int
+            # the samplers and random.Random take
+            object.__setattr__(self, name, int(value))
         if self.samples_per_entry < 1:
             raise ValueError("samples_per_entry must be >= 1")
         for tol in (self.atol,) if self.rtol_override is None else (self.atol, self.rtol_override):

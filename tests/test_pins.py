@@ -74,12 +74,29 @@ REPORT_ENVIRONMENT = {
 REPORT_SHA256 = "378620930a3fc32ee39cb60ce60835234765a263b1740db5d03ce747987252cb"
 
 
-def test_default_report_bytes():
-    """sha256 of the report ``betaquad verify --seed 7`` writes."""
+def skip_outside_report_environment(what):
     env = environment()
     differs = {k: env[k] for k in REPORT_ENVIRONMENT if env[k] != REPORT_ENVIRONMENT[k]}
     if differs:
-        pytest.skip(f"report bytes are pinned for {REPORT_ENVIRONMENT}; here {differs}")
+        pytest.skip(f"{what} pinned for {REPORT_ENVIRONMENT}; here {differs}")
+
+
+def test_default_report_bytes():
+    """sha256 of the report ``betaquad verify --seed 7`` writes."""
+    skip_outside_report_environment("report bytes are")
     cfg = verify.RunConfig(seed=7)
     payload = verify.report_to_jsonl(verify.verify_all(cfg), verify.cross_check_consistency(cfg))
     assert hashlib.sha256(payload.encode()).hexdigest() == REPORT_SHA256
+
+
+def test_edge_behaviour_fingerprint(with_margin):
+    """The status and evaluation count of every seed-7 outcome at the 0.01
+    edge margin, 20 samples per entry.  Edge rows stop next to the
+    tolerance limits, so the pin holds only where it was recorded."""
+    skip_outside_report_environment("edge stop levels are")
+    cfg = verify.RunConfig(seed=7)
+    outcomes = [o for rec in sorted(catalog.all_entries(), key=lambda r: r.id)
+                for o in verify.verify_entry(with_margin(rec, 0.01), cfg)]
+    assert len(outcomes) == 1600
+    assert sha256([(o.entry_id, o.sample_index, o.status, o.evaluations)
+                   for o in outcomes]) == "af14a3bb0fa43eb755a9e83dabf9a2342885ad639a4b2a7efa0b4e9e37765225"

@@ -1128,6 +1128,39 @@ class TestBatchedRows:
 
             assert bits(found[i]) == bits(quad.integrate_finite(alone, specs[i], TOL))
 
+    def test_non_finite_row_in_a_later_block_fails_alone(self):
+        # dlo**0.25 + k * |x - 1/pi| on [0, 1]: row 0 converges at level 3,
+        # rows 1 and 2 run on, and row 1 returns NaN at one new node of the
+        # one-level block 5 (side a's innermost; L = 1, so dhi matches it)
+        k = np.array([[0.0], [1.0], [1.0]])
+        nan_at = quad._TRANSFORMS["tanh_sinh"][0](quad._level_t(5))[0][0][0]
+
+        def alone(i):
+            kv = k[i, 0].item()
+
+            def f(x, dlo, dhi):
+                out = dlo ** 0.25 + kv * np.abs(x - 1.0 / math.pi)
+                return np.where(dhi == nan_at, np.nan, out) if i == 1 else out
+
+            return f
+
+        def make_f(r):
+            def f(x, dlo, dhi):
+                out = dlo ** 0.25 + k[r] * np.abs(x - 1.0 / math.pi)
+                return np.where((r == 1)[:, None] & (dhi == nan_at), np.nan, out)
+
+            return f
+
+        spec = IntegralSpec.finite(0.0, 1.0)
+        found = quad.integrate_rows(make_f, spec, 3, TOL)
+        assert isinstance(found[1], quad.EvaluationError)
+        with pytest.raises(quad.EvaluationError) as lone:
+            quad.integrate_finite(alone(1), spec, TOL)
+        assert str(found[1]) == str(lone.value)
+        assert [found[i].status for i in (0, 2)] == ["converged", "max_level"]
+        for i in (0, 2):
+            assert bits(found[i]) == bits(quad.integrate_finite(alone(i), spec, TOL))
+
     @pytest.mark.parametrize("nfolds", [1, 3])
     def test_fold_count_must_match_poles(self, nfolds):
         # two poles, one or three folds: the batch and the lone call reject

@@ -329,6 +329,20 @@ class TestVerifyAll:
                 seed=7, samples_per_entry=2, entry_filter=("3.191.3",))).outcomes
         ]
 
+    def test_numpy_integers_write_the_int_report(self):
+        """A numpy-integer config is stored as ints, so the unfiltered report,
+        consistency suite included, is the one the plain ints write."""
+        cfg = verify.RunConfig(seed=np.int64(7), samples_per_entry=np.int32(2),
+                               parallelism=np.int64(2))
+        assert all(type(getattr(cfg, name)) is int
+                   for name in ("seed", "samples_per_entry", "parallelism"))
+        buf, ref = io.StringIO(), io.StringIO()
+        assert verify.write_report(cfg, buf) == "pass"
+        verify.write_report(verify.RunConfig(seed=7, samples_per_entry=2), ref)
+        lines = buf.getvalue().splitlines()
+        assert len(lines) == 161 and json.loads(lines[-1])["verdict"] == "pass"
+        assert buf.getvalue() == ref.getvalue()
+
 
 class TestCorrectnessLedger:
     # The seed-7 round at a 1% sampling margin has known non-pass outcomes.
