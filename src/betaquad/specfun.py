@@ -119,6 +119,9 @@ def gamma(x: float) -> float:
 
 def _sinpi(x):
     """sin(pi*x) with argument reduction, accurate near integers."""
+    if x < 0.0:
+        # odd: x - floor(x) would round 1 + x for x in (-1, 0)
+        return -_sinpi(-x)
     r = x - math.floor(x)
     if r <= 0.5:
         s = math.sin(math.pi * r)
@@ -136,6 +139,9 @@ def log_gamma(x: float) -> float:
         raise ValueError(f"log_gamma requires x > 0, got {x!r}")
     if x > 1e15:
         raise OverflowError(f"log_gamma({x!r}) loses all precision")
+    if x < 2.0 ** -10:
+        # Gamma(x) = Gamma(1+x)/x: the series' (x - 1) + 1 loses x below ~1e-16
+        return log_gamma(1.0 + x) - math.log(x)
     if x <= 21.0:
         t = x + _LANCZOS_G - 0.5
         return (
@@ -197,14 +203,20 @@ def beta(a: float, b: float) -> float:
     Computed in log space and exponentiated; arguments are symmetrized
     first so beta(a, b) == beta(b, a) bit for bit.  Negative non-integer
     arguments are supported through the signed log-Gamma reflection.
+    Where a + b is a non-positive integer and neither a nor b is, B(a, b)
+    is a zero with the sign of Gamma(a)Gamma(b).
     """
     _check_finite("beta", a)
     _check_finite("beta", b)
     if a > b:
         a, b = b, a
-    for arg in (a, b, a + b):
+    for arg in (a, b):
         if _is_nonpositive_integer(arg):
             raise ValueError(f"beta pole: argument {arg!r} is a non-positive integer")
+    if _is_nonpositive_integer(a + b):
+        # 1/Gamma(a+b) = 0; Gamma(x) has the sign of sin(pi x) for x < 0
+        sa, sb = (1.0 if x > 0.0 else _sinpi(x) for x in (a, b))
+        return math.copysign(0.0, sa * sb)
     if a > 0.0 and b > 0.0:
         return math.exp(log_beta(a, b))
     la, sa = _log_abs_gamma_signed(a)

@@ -9,12 +9,14 @@ than flagged as non-convergent.
 
 Reports serialize as JSON lines (one outcome per line, then one summary
 object).  Timing fields are canonicalized to 0.0 in the JSON form so that
-reruns with identical flags are byte-identical regardless of wall clock;
-the text form shows real timings.  Entries run one after another in one
-thread; ``RunConfig.parallelism`` is validated but has no effect.
+reruns with identical flags are byte-identical regardless of wall clock.
+Entries run one after another in one thread; ``RunConfig.parallelism`` is
+validated but has no effect.
 
-``write_report`` is the streamed form of a report: it writes each entry's
-lines before it verifies the next and keeps only running totals.
+``write_report`` is the streamed form of a report and the only text one:
+it writes each entry's lines before it verifies the next and keeps only
+running totals.  It times each entry's verification, and the text table
+prints that time; outcomes carry no timing.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "cross_check_consistency",
     "write_report",
     "report_to_jsonl",
-    "report_to_text",
 ]
 
 ENGINE_REQUEST_TOL = quad.DEFAULT_TOL   # 1e-10 requested from the engines
@@ -94,7 +95,6 @@ class VerificationOutcome:
     rel_err: float
     evaluations: int
     status: str  # pass | fail | quad_nonconverged | sample_error
-    elapsed_ms: float
 
 
 @dataclass
@@ -122,7 +122,6 @@ class ConsistencyCheck:
 @dataclass
 class ConsistencyReport:
     checks: list[ConsistencyCheck]
-    wall_ms: float
 
     @property
     def verdict(self) -> str:
@@ -144,9 +143,7 @@ def _verify_rows(rec, cfg):
     one spec.  A row whose batch result is an error, and every row of a
     batch that raised as a whole (its spec included), is a sample_error: a
     batched row is bit-identical to its lone sample, so integrating it
-    again alone would give the same error.  Each outcome's elapsed time is
-    an even share of the entry's."""
-    start = time.perf_counter()
+    again alone would give the same error."""
     drawn = []
     for index in range(cfg.samples_per_entry):
         params = {}
@@ -165,9 +162,8 @@ def _verify_rows(rec, cfg):
     for (index, *_), result in zip(batch, found):
         if isinstance(result, quad.QuadratureResult):
             results[index] = result
-    elapsed = 1e3 * (time.perf_counter() - start) / len(drawn)
     return [
-        _outcome(rec, index, params, closed, result, cfg, elapsed)
+        _outcome(rec, index, params, closed, result, cfg)
         for (index, params, closed), result in zip(drawn, results)
     ]
 
@@ -188,11 +184,11 @@ def _batch(rec, params):
     )
 
 
-def _outcome(rec, index, params, closed, result, cfg, elapsed):
+def _outcome(rec, index, params, closed, result, cfg):
     if result is None:
         return VerificationOutcome(
             rec.id, index, params, math.nan, math.nan,
-            math.nan, math.nan, 0, "sample_error", elapsed,
+            math.nan, math.nan, 0, "sample_error",
         )
     numeric = result.value
     rtol = cfg.rtol_override if cfg.rtol_override is not None else rec.rtol
@@ -210,7 +206,7 @@ def _outcome(rec, index, params, closed, result, cfg, elapsed):
         status = "fail"
     return VerificationOutcome(
         rec.id, index, params, numeric, closed, abs_err, rel_err,
-        result.evaluations, status, elapsed,
+        result.evaluations, status,
     )
 
 
@@ -220,34 +216,14 @@ def _selected_entries(cfg):
     return [catalog.entry(eid) for eid in sorted(set(cfg.entry_filter))]
 
 
-def _entry_outcomes(entries, cfg, totals):
-    """Each entry's outcomes, in sample-index order, as soon as the entry is
-    verified; entries in the order given.  ``totals`` is filled with the
-    summary's counts, keyed as ``_totals`` keys them, and kept up to date
-    entry by entry; its wall_ms is the sum of the outcomes' elapsed_ms."""
-    totals.update(
-        entries=len(entries), outcomes=0, passes=0, failures=0, worst_rel_err=0.0, wall_ms=0.0
-    )
-    for rec in entries:
-        outcomes = _verify_rows(rec, cfg)
-        passes, worst, ms = _tally(outcomes)
-        totals["outcomes"] += len(outcomes)
-        totals["passes"] += passes
-        totals["failures"] += len(outcomes) - passes
-        totals["worst_rel_err"] = max(totals["worst_rel_err"], worst)
-        totals["wall_ms"] += ms
-        yield outcomes
-
-
 def _tally(outcomes):
-    """(passes, worst finite rel_err or 0.0, summed elapsed_ms) of outcomes."""
-    passes, worst, ms = 0, 0.0, 0.0
+    """(passes, worst finite rel_err or 0.0) of outcomes."""
+    passes, worst = 0, 0.0
     for o in outcomes:
         passes += o.status == "pass"
         if math.isfinite(o.rel_err):
             worst = max(worst, o.rel_err)
-        ms += o.elapsed_ms
-    return passes, worst, ms
+    return passes, worst
 
 
 def verify_all(cfg: RunConfig) -> VerificationReport:
@@ -258,14 +234,11 @@ def verify_all(cfg: RunConfig) -> VerificationReport:
     """
     start = time.perf_counter()
     entries = _selected_entries(cfg)
-    totals = {}
     # entries in sorted-id order, each in sample-index order
-    results = [o for outcomes in _entry_outcomes(entries, cfg, totals) for o in outcomes]
+    results = [o for rec in entries for o in _verify_rows(rec, cfg)]
+    passes, worst = _tally(results)
     wall_ms = 1e3 * (time.perf_counter() - start)
-    return VerificationReport(
-        results, len(entries), totals["passes"], totals["failures"], totals["worst_rel_err"],
-        wall_ms,
-    )
+    return VerificationReport(results, len(entries), passes, len(results) - passes, worst, wall_ms)
 
 
 # --------------------------------------------------------------------------
@@ -284,7 +257,6 @@ def cross_check_consistency(cfg: RunConfig) -> ConsistencyReport:
     the check, with a NaN ``worst`` and the error's text in its detail;
     the suite still returns every check, so a report still ends in its
     summary line."""
-    start = time.perf_counter()
     fake = f"{cfg.samples_per_entry} p-samples, two {{}}-draws each vs pi cot(pi p)"
     checks = [
         _check("reflection-grid", "1000 points of (0,1), rel vs pi/sin", _reflection_grid()),
@@ -298,8 +270,7 @@ def cross_check_consistency(cfg: RunConfig) -> ConsistencyReport:
         _check("fake-parameter-3.217", fake.format("b"), _fake_parameter(cfg, "3.217", "b")),
         _check("fake-parameter-3.218", fake.format("a"), _fake_parameter(cfg, "3.218", "a")),
     ]
-    wall_ms = 1e3 * (time.perf_counter() - start)
-    return ConsistencyReport(checks, wall_ms)
+    return ConsistencyReport(checks)
 
 
 def _check(name, detail, residuals):
@@ -383,20 +354,32 @@ def _fake_parameter(cfg, entry_id, fake_name):
 # --------------------------------------------------------------------------
 
 def write_report(cfg: RunConfig, fh, fmt: str = "json") -> str:
-    """Write the report of ``verify_all(cfg)`` to ``fh`` as ``report_to_jsonl``
-    (fmt "json") or ``report_to_text`` (fmt "text") would, entry by entry,
-    keeping only running totals; returns the verdict.  The consistency
-    suite runs only on the unfiltered roster."""
+    """Write the report of ``verify_all(cfg)`` to ``fh``, entry by entry,
+    keeping only running totals; returns the verdict.  Fmt "json" writes
+    what ``report_to_jsonl`` returns; fmt "text" writes a fixed-width table
+    of one row per entry, with the entry's measured wall time, and the
+    summary.  The consistency suite runs only on the unfiltered roster."""
     if fmt not in ("json", "text"):
         raise ValueError(f"unknown report format {fmt!r}")
     if fmt == "text":
         fh.write(_TEXT_HEADER)
-    totals = {}
-    for outcomes in _entry_outcomes(_selected_entries(cfg), cfg, totals):
-        fh.writelines(_outcome_lines(outcomes, fmt))
+    entries = _selected_entries(cfg)
+    outcomes = passes = 0
+    worst = wall_ms = 0.0
+    for rec in entries:
+        start = time.perf_counter()
+        rows = _verify_rows(rec, cfg)
+        ms = 1e3 * (time.perf_counter() - start)
+        fh.writelines(_outcome_lines(rows, fmt, ms))
+        entry_passes, entry_worst = _tally(rows)
+        outcomes += len(rows)
+        passes += entry_passes
+        worst = max(worst, entry_worst)
+        wall_ms += ms
     consistency = cross_check_consistency(cfg) if cfg.entry_filter is None else None
+    totals = _totals(len(entries), outcomes, passes, outcomes - passes, worst, wall_ms)
     fh.writelines(_summary_lines(fmt, totals, consistency))
-    return _verdict(totals["failures"], consistency)
+    return _verdict(outcomes - passes, consistency)
 
 
 def _verdict(failures, consistency):
@@ -410,22 +393,13 @@ def report_to_jsonl(report: VerificationReport, consistency: ConsistencyReport |
     fields are zeroed so identical configurations yield byte-identical
     reports.
     """
+    totals = _totals(
+        report.entries, len(report.outcomes), report.passes, report.failures,
+        report.worst_rel_err, report.wall_ms,
+    )
     return "".join(itertools.chain(
-        _outcome_lines(report.outcomes, "json"),
-        _summary_lines("json", _totals(report), consistency),
+        _outcome_lines(report.outcomes, "json"), _summary_lines("json", totals, consistency),
     ))
-
-
-def report_to_text(report: VerificationReport, consistency: ConsistencyReport | None = None) -> str:
-    """Fixed-width per-entry summary table with real timings."""
-    by_entry = {}
-    for o in report.outcomes:
-        by_entry.setdefault(o.entry_id, []).append(o)
-    lines = [_TEXT_HEADER]
-    for eid in sorted(by_entry):
-        lines.extend(_outcome_lines(by_entry[eid], "text"))
-    lines.extend(_summary_lines("text", _totals(report), consistency))
-    return "".join(lines)
 
 
 _TEXT_HEADER = (
@@ -433,9 +407,10 @@ _TEXT_HEADER = (
 )
 
 
-def _outcome_lines(outcomes, fmt):
+def _outcome_lines(outcomes, fmt, ms=0.0):
     """Report lines of one entry's outcomes: with fmt "json" one object per
-    outcome, timing zeroed; with "text" the entry's row of the table."""
+    outcome, timing zeroed; with "text" the entry's row of the table, whose
+    ms column is ``ms``, the entry's wall time."""
     if fmt == "json":
         import json
 
@@ -455,7 +430,7 @@ def _outcome_lines(outcomes, fmt):
                 }
             ) + "\n"
         return
-    passes, worst, ms = _tally(outcomes)
+    passes, worst = _tally(outcomes)
     # the last outcome that did not pass names the entry's status
     status = next((o.status for o in reversed(outcomes) if o.status != "pass"), "ok")
     status = "FAIL" if status == "fail" else status
@@ -466,15 +441,15 @@ def _outcome_lines(outcomes, fmt):
     )
 
 
-def _totals(report):
-    """The summary's counts of a whole report, keyed in summary order."""
+def _totals(entries, outcomes, passes, failures, worst_rel_err, wall_ms):
+    """The summary's counts, keyed in summary order."""
     return {
-        "entries": report.entries,
-        "outcomes": len(report.outcomes),
-        "passes": report.passes,
-        "failures": report.failures,
-        "worst_rel_err": report.worst_rel_err,
-        "wall_ms": report.wall_ms,
+        "entries": entries,
+        "outcomes": outcomes,
+        "passes": passes,
+        "failures": failures,
+        "worst_rel_err": worst_rel_err,
+        "wall_ms": wall_ms,
     }
 
 

@@ -5,7 +5,6 @@ import dataclasses
 import gc
 import json
 import math
-import re
 import shutil
 import subprocess
 import sys
@@ -121,20 +120,6 @@ class TestVerifyCommand:
         assert len(capsys.readouterr().out.splitlines()) == 3 * catalog.EXPECTED_ENTRY_COUNT + 1
         assert len(seen) == 1 and seen[0] <= 3
 
-    def test_text_format_matches_report_to_text(self, capsys):
-        # the streamed table equals the one built from a whole report, up to
-        # the timings: each entry's ms column and the summary's wall_ms
-        def masked(text):
-            text = re.sub(r"wall_ms=\S+", "wall_ms=*", text)
-            return re.sub(r"(?m)^(.{62}) +\d+\.\d(  \S+)$", r"\1 *\2", text)
-
-        cfg = verify.RunConfig(seed=7, samples_per_entry=2)
-        expected = verify.report_to_text(verify.verify_all(cfg), verify.cross_check_consistency(cfg))
-        assert run(["verify", "--samples", "2", "--seed", "7", "--format", "text"]) == 0
-        out = capsys.readouterr().out
-        assert masked(out).count(" *  ") == catalog.EXPECTED_ENTRY_COUNT
-        assert masked(out) == masked(expected)
-
     def test_text_format(self, capsys):
         assert run(
             ["verify", "--id", "3.191.3", "--samples", "2", "--format", "text"]
@@ -176,7 +161,7 @@ class TestVerifyCommand:
 
     def test_consistency_failure_exits_1(self, capsys, monkeypatch):
         fake = verify.ConsistencyReport(
-            [verify.ConsistencyCheck("synthetic", False, 1.0, "forced")], 0.0
+            [verify.ConsistencyCheck("synthetic", False, 1.0, "forced")]
         )
         monkeypatch.setattr(verify, "cross_check_consistency", lambda cfg: fake)
         code = run(["verify", "--samples", "1"])

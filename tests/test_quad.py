@@ -1006,7 +1006,7 @@ class TestBatchedReference:
                 expected.append(ref)
                 res = None if ref[0] == "EvaluationError" else reference_result(f, spec, folds)
                 closed = catalog.closed_form_value(r, p)
-                outcomes.append(outcome_bits(verify._outcome(r, index, p, closed, res, cfg, 0.0)))
+                outcomes.append(outcome_bits(verify._outcome(r, index, p, closed, res, cfg)))
             # the batched core, with (rows x 1) parameter columns and one column spec
             cols = columns(params)
 

@@ -126,7 +126,12 @@ class TestBeta:
         with pytest.raises(ValueError):
             sf.beta(0.0, 1.0)
         with pytest.raises(ValueError):
-            sf.beta(0.5, -0.5)  # a + b = 0
+            sf.beta(-1.0, 0.5)
+        # a + b = 0 alone is no pole: 1/Gamma(a+b) = 0 gives a zero with the
+        # sign of Gamma(a)Gamma(b)
+        for (a, b), zero in (((0.5, -0.5), math.copysign(0.0, -1.0)), ((-0.5, -0.5), 0.0)):
+            value = sf.beta(a, b)
+            assert value == 0.0 and math.copysign(1.0, value) == math.copysign(1.0, zero)
 
 
 class TestDigamma:

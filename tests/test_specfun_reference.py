@@ -16,6 +16,8 @@ mpmath = pytest.importorskip("mpmath")
 
 DIGAMMA_ZERO = 1.4616321449683623
 NEAR_ZEROS = [1.0, 2.0, DIGAMMA_ZERO, 0.999, 1.001, 1.999, 2.001, 1.46, 1.47]
+# below ~1e-16 the Lanczos series' (x - 1) + 1 rounds to 0
+TINY = list(np.geomspace(1e-300, 2.0 ** -10, 200))
 
 
 @pytest.fixture(autouse=True)
@@ -34,7 +36,12 @@ def worst(fn, ref, xs, floor):
 
 
 def test_gamma_relative():
-    xs = np.concatenate((np.linspace(0.05, 60.0, 600)[1:], np.geomspace(0.05, 60.0, 200)[1:]))
+    xs = np.concatenate((
+        np.linspace(0.05, 60.0, 600)[1:],
+        np.geomspace(0.05, 60.0, 200)[1:],
+        # the reflection's sin(pi x) on (-1/2, 0), where 1 + x rounds
+        -np.geomspace(1e-300, 0.49, 200),
+    ))
     err, x = worst(specfun.gamma, mpmath.gamma, xs, 0.0)
     assert err <= 1e-14, f"gamma rel err {err:.2e} at x={x}"
 
@@ -44,12 +51,13 @@ def test_beta_relative():
     pairs = [(a, b) for a in grid for b in grid]
     rng = np.random.default_rng(20070707)
     pairs += [tuple(p) for p in rng.uniform(0.05, 40.0, size=(400, 2))]
+    pairs += [(a, b) for a in TINY[::10] for b in (0.05, 0.5, 2.5, 40.0)]
     err, pair = worst(lambda p: specfun.beta(*p), lambda p: mpmath.beta(*p), pairs, 0.0)
     assert err <= 1e-13, f"beta rel err {err:.2e} at (a, b)={pair}"
 
 
 def test_log_gamma_with_floor_at_zeros():
-    xs = list(np.linspace(0.05, 60.0, 600)) + NEAR_ZEROS
+    xs = list(np.linspace(0.05, 60.0, 600)) + NEAR_ZEROS + TINY
     err, x = worst(specfun.log_gamma, mpmath.loggamma, xs, 1.0)
     assert err <= 1e-14, f"log_gamma err {err:.2e} at x={x}"
 
