@@ -113,8 +113,11 @@ def gamma(x: float) -> float:
         raise OverflowError(f"gamma({x!r}) overflows double precision")
     if x >= 0.5:
         return _gamma_positive(x)
-    # reflection: Gamma(x) = pi / (sin(pi x) Gamma(1-x))
-    return math.pi / (_sinpi(x) * _gamma_positive(1.0 - x))
+    # reflection: Gamma(x) = pi / (sin(pi x) Gamma(1-x)), infinite for |x| below ~5.6e-309
+    g = math.pi / (_sinpi(x) * _gamma_positive(1.0 - x))
+    if math.isinf(g):
+        raise OverflowError(f"gamma({x!r}) overflows double precision")
+    return g
 
 
 def _sinpi(x):

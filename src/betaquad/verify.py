@@ -86,15 +86,25 @@ class RunConfig:
 
 @dataclass(frozen=True, slots=True)
 class VerificationOutcome:
+    """One sampled comparison.  Stored fields: entry_id, sample_index,
+    params, numeric, closed, evaluations, status.  Derived from numeric and
+    closed when read (NaN for a sample_error): abs_err, rel_err."""
+
     entry_id: str
     sample_index: int
     params: dict
     numeric: float
     closed: float
-    abs_err: float
-    rel_err: float
     evaluations: int
     status: str  # pass | fail | quad_nonconverged | sample_error
+
+    @property
+    def abs_err(self) -> float:
+        return abs(self.numeric - self.closed)
+
+    @property
+    def rel_err(self) -> float:
+        return self.abs_err / max(abs(self.closed), REL_ERR_FLOOR)
 
 
 @dataclass
@@ -186,15 +196,11 @@ def _batch(rec, params):
 
 def _outcome(rec, index, params, closed, result, cfg):
     if result is None:
-        return VerificationOutcome(
-            rec.id, index, params, math.nan, math.nan,
-            math.nan, math.nan, 0, "sample_error",
-        )
+        return VerificationOutcome(rec.id, index, params, math.nan, math.nan, 0, "sample_error")
     numeric = result.value
     rtol = cfg.rtol_override if cfg.rtol_override is not None else rec.rtol
     atol = max(cfg.atol, rec.zero_atol or 0.0)
     abs_err = abs(numeric - closed)
-    rel_err = abs_err / max(abs(closed), REL_ERR_FLOOR)
     certified = result.converged or (
         result.error_estimate <= ENGINE_ACCEPT_TOL * max(1.0, abs(numeric))
     )
@@ -204,10 +210,7 @@ def _outcome(rec, index, params, closed, result, cfg):
         status = "pass"
     else:
         status = "fail"
-    return VerificationOutcome(
-        rec.id, index, params, numeric, closed, abs_err, rel_err,
-        result.evaluations, status,
-    )
+    return VerificationOutcome(rec.id, index, params, numeric, closed, result.evaluations, status)
 
 
 def _selected_entries(cfg):

@@ -54,7 +54,8 @@ class TestGamma:
             assert sf.gamma(x) == pytest.approx(math.gamma(x), rel=1e-13)
 
     def test_reflection_branch_against_libm(self):
-        for x in (-0.5, -1.5, -3.3, -7.25, 0.1, 0.25, 0.49, -0.001):
+        # +-6e-309: 1/|x| is still finite through the reflection
+        for x in (-0.5, -1.5, -3.3, -7.25, 0.1, 0.25, 0.49, -0.001, 6e-309, -6e-309):
             assert sf.gamma(x) == pytest.approx(math.gamma(x), rel=1e-12)
 
     def test_pole_arguments_raise(self):
@@ -63,8 +64,10 @@ class TestGamma:
                 sf.gamma(x)
 
     def test_overflow_reported(self):
-        with pytest.raises(OverflowError):
-            sf.gamma(172.0)
+        # above the threshold, and where the reflection's pi / (sin(pi x) Gamma(1-x)) is infinite
+        for x in (172.0, 171.7, 5e-309, 1e-310, 5e-324, -1e-310, -5e-324):
+            with pytest.raises(OverflowError, match="overflows double precision"):
+                sf.gamma(x)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Verification harness: outcome semantics, determinism, serialization."""
 
 import dataclasses
+import gc
 import io
 import itertools
 import json
@@ -36,9 +37,15 @@ class TestVerifyEntry:
         assert [o.sample_index for o in outcomes] == list(range(20))
 
     def test_outcome_invariants(self):
-        cfg = verify.RunConfig(seed=7, samples_per_entry=5)
-        for o in verify.verify_entry(catalog.entry("eq-4.3"), cfg):
-            assert o.rel_err == o.abs_err / max(abs(o.closed), 1e-300)
+        # the derived errors read as the streamed report writes them
+        cfg = verify.RunConfig(seed=7, samples_per_entry=5, entry_filter=("eq-4.3",))
+        buffer = io.StringIO()
+        verify.write_report(cfg, buffer)
+        records = [json.loads(line) for line in buffer.getvalue().splitlines()[:-1]]
+        outcomes = verify.verify_entry(catalog.entry("eq-4.3"), cfg)
+        assert len(records) == len(outcomes) == 5
+        for o, record in zip(outcomes, records):
+            assert (o.abs_err, o.rel_err) == (record["abs_err"], record["rel_err"])
             assert o.evaluations > 0
 
     def test_zero_closed_uses_absolute_rule(self):
@@ -202,8 +209,12 @@ class TestVerifyEntry:
         assert [o.status for o in outcomes] == ["sample_error"] * 3
 
 
+STORED_FIELDS = ("entry_id", "sample_index", "params", "numeric", "closed", "evaluations", "status")
+
+
 class TestOutcomeLayout:
-    """An outcome is slotted: it is held once per sample, without an instance dict."""
+    """An outcome is slotted: it is held once per sample, without an instance
+    dict, and stores only what was measured."""
 
     @pytest.fixture(scope="class")
     def outcome(self):
@@ -213,7 +224,7 @@ class TestOutcomeLayout:
     def test_slots_are_the_fields(self, outcome):
         assert not hasattr(outcome, "__dict__")
         names = tuple(f.name for f in dataclasses.fields(outcome))
-        assert verify.VerificationOutcome.__slots__ == names
+        assert verify.VerificationOutcome.__slots__ == names == STORED_FIELDS
         with pytest.raises(dataclasses.FrozenInstanceError):
             outcome.status = "fail"
         with pytest.raises(TypeError):
@@ -228,6 +239,42 @@ class TestOutcomeLayout:
         with pytest.raises(TypeError):  # the params dict is unhashable, as before
             hash(outcome)
         assert repr(outcome).startswith("VerificationOutcome(entry_id='3.191.3', sample_index=0, params={")
+
+    def test_errors_are_derived(self, outcome):
+        assert tuple(dataclasses.asdict(outcome)) == STORED_FIELDS
+        exact = dataclasses.replace(outcome, numeric=outcome.closed)
+        assert (exact.abs_err, exact.rel_err) == (0.0, 0.0)
+        # a sample_error reads NaN for both, in the outcome and in its JSON line
+        rec = catalog.entry("3.191.3")
+        unsampled = dataclasses.replace(rec, closed_form=lambda p: math.nan)
+        errors = verify.verify_entry(unsampled, verify.RunConfig(seed=7, samples_per_entry=2))
+        assert [o.status for o in errors] == ["sample_error"] * 2
+        report = verify.VerificationReport(errors, 1, 0, 2, 0.0, 0.0)
+        records = [json.loads(line) for line in verify.report_to_jsonl(report).splitlines()[:-1]]
+        for o, record in zip(errors, records, strict=True):
+            for name in ("abs_err", "rel_err"):
+                assert math.isnan(getattr(o, name)) and math.isnan(record[name])
+
+    def test_holds_only_measured_values(self):
+        # per held outcome: the record, its params dict, the numeric and
+        # closed floats, one float per parameter and the list's pointer,
+        # with 16 B to spare; one more stored float per outcome exceeds it
+        cfg = verify.RunConfig(seed=7, samples_per_entry=20)
+        verify.verify_all(cfg)  # node tables and lazy imports are built once
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = verify.verify_all(cfg)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        bound = sum(
+            sys.getsizeof(o) + sys.getsizeof(o.params) + sys.getsizeof(0.0) * (2 + len(o.params)) + 8
+            for o in report.outcomes
+        )
+        assert held <= bound + 16 * len(report.outcomes)
 
 
 class TestVerifyAll:
