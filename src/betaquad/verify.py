@@ -87,16 +87,25 @@ class RunConfig:
 @dataclass(frozen=True, slots=True)
 class VerificationOutcome:
     """One sampled comparison.  Stored fields: entry_id, sample_index,
-    params, numeric, closed, evaluations, status.  Derived from numeric and
-    closed when read (NaN for a sample_error): abs_err, rel_err."""
+    param_names, param_values, numeric, closed, evaluations, status.
+    param_names is the entry's parameter names in draw order, one tuple
+    shared by all of the entry's outcomes; param_values holds the sample's
+    values in that order, () when sampling raised.  Derived when read:
+    params, the name -> value dict; abs_err and rel_err from numeric and
+    closed (NaN for a sample_error)."""
 
     entry_id: str
     sample_index: int
-    params: dict
+    param_names: tuple[str, ...]
+    param_values: tuple
     numeric: float
     closed: float
     evaluations: int
     status: str  # pass | fail | quad_nonconverged | sample_error
+
+    @property
+    def params(self) -> dict:
+        return dict(zip(self.param_names, self.param_values))
 
     @property
     def abs_err(self) -> float:
@@ -154,6 +163,7 @@ def _verify_rows(rec, cfg):
     batch that raised as a whole (its spec included), is a sample_error: a
     batched row is bit-identical to its lone sample, so integrating it
     again alone would give the same error."""
+    names = tuple(name for name, *_ in rec.domain.plan)  # the sample_params key order
     drawn = []
     for index in range(cfg.samples_per_entry):
         params = {}
@@ -173,7 +183,7 @@ def _verify_rows(rec, cfg):
         if isinstance(result, quad.QuadratureResult):
             results[index] = result
     return [
-        _outcome(rec, index, params, closed, result, cfg)
+        _outcome(rec, index, names, params, closed, result, cfg)
         for (index, params, closed), result in zip(drawn, results)
     ]
 
@@ -194,9 +204,11 @@ def _batch(rec, params):
     )
 
 
-def _outcome(rec, index, params, closed, result, cfg):
+def _outcome(rec, index, names, params, closed, result, cfg):
     if result is None:
-        return VerificationOutcome(rec.id, index, params, math.nan, math.nan, 0, "sample_error")
+        return VerificationOutcome(
+            rec.id, index, names, tuple(params.values()), math.nan, math.nan, 0, "sample_error"
+        )
     numeric = result.value
     rtol = cfg.rtol_override if cfg.rtol_override is not None else rec.rtol
     atol = max(cfg.atol, rec.zero_atol or 0.0)
@@ -210,7 +222,9 @@ def _outcome(rec, index, params, closed, result, cfg):
         status = "pass"
     else:
         status = "fail"
-    return VerificationOutcome(rec.id, index, params, numeric, closed, result.evaluations, status)
+    return VerificationOutcome(
+        rec.id, index, names, tuple(params.values()), numeric, closed, result.evaluations, status
+    )
 
 
 def _selected_entries(cfg):
@@ -224,8 +238,9 @@ def _tally(outcomes):
     passes, worst = 0, 0.0
     for o in outcomes:
         passes += o.status == "pass"
-        if math.isfinite(o.rel_err):
-            worst = max(worst, o.rel_err)
+        rel_err = o.rel_err  # a property: read it once
+        if math.isfinite(rel_err):
+            worst = max(worst, rel_err)
     return passes, worst
 
 

@@ -1,5 +1,6 @@
 """Pinned seed-7 behaviour: the parameter stream, what every outcome did
-(status and evaluation count), and the default report's bytes.
+(status and evaluation count), and the bytes of the default and the
+``--samples 200`` reports.
 
 A change that moves one of these values re-pins it in the same commit and
 records old -> new in CHANGES.md.  The stream and the behaviour fingerprint
@@ -9,6 +10,7 @@ that produced them, and the byte test is skipped elsewhere.
 """
 
 import hashlib
+import io
 import platform
 
 import numpy as np
@@ -87,6 +89,16 @@ def test_default_report_bytes():
     cfg = verify.RunConfig(seed=7)
     payload = verify.report_to_jsonl(verify.verify_all(cfg), verify.cross_check_consistency(cfg))
     assert hashlib.sha256(payload.encode()).hexdigest() == REPORT_SHA256
+
+
+def test_samples_200_report_bytes():
+    """sha256 of the report ``betaquad verify --seed 7 --samples 200`` writes."""
+    skip_outside_report_environment("report bytes are")
+    buf = io.StringIO()
+    verify.write_report(verify.RunConfig(seed=7, samples_per_entry=200), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "5e3badb0566c6a1a3ca2a9b5974c5f313ba072fa9daa84c061a3f19e638c801c"
+    )
 
 
 def test_edge_behaviour_fingerprint(with_margin):

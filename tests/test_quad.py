@@ -1006,7 +1006,8 @@ class TestBatchedReference:
                 expected.append(ref)
                 res = None if ref[0] == "EvaluationError" else reference_result(f, spec, folds)
                 closed = catalog.closed_form_value(r, p)
-                outcomes.append(outcome_bits(verify._outcome(r, index, p, closed, res, cfg)))
+                o = verify._outcome(r, index, tuple(p), p, closed, res, cfg)
+                outcomes.append(outcome_bits(o))
             # the batched core, with (rows x 1) parameter columns and one column spec
             cols = columns(params)
 

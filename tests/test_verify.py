@@ -209,7 +209,10 @@ class TestVerifyEntry:
         assert [o.status for o in outcomes] == ["sample_error"] * 3
 
 
-STORED_FIELDS = ("entry_id", "sample_index", "params", "numeric", "closed", "evaluations", "status")
+STORED_FIELDS = (
+    "entry_id", "sample_index", "param_names", "param_values", "numeric", "closed",
+    "evaluations", "status",
+)
 
 
 class TestOutcomeLayout:
@@ -236,9 +239,12 @@ class TestOutcomeLayout:
         clone = pickle.loads(pickle.dumps(outcome))
         assert clone == outcome and type(clone) is verify.VerificationOutcome
         assert dataclasses.asdict(clone) == dataclasses.asdict(outcome)
-        with pytest.raises(TypeError):  # the params dict is unhashable, as before
-            hash(outcome)
-        assert repr(outcome).startswith("VerificationOutcome(entry_id='3.191.3', sample_index=0, params={")
+        # every stored field is hashable, so the frozen dataclass hashes
+        assert hash(clone) == hash(outcome)
+        assert repr(outcome).startswith(
+            "VerificationOutcome(entry_id='3.191.3', sample_index=0, param_names=('a', 'b'), "
+            "param_values=("
+        )
 
     def test_errors_are_derived(self, outcome):
         assert tuple(dataclasses.asdict(outcome)) == STORED_FIELDS
@@ -255,10 +261,33 @@ class TestOutcomeLayout:
             for name in ("abs_err", "rel_err"):
                 assert math.isnan(getattr(o, name)) and math.isnan(record[name])
 
+    def test_params_read_from_shared_names(self):
+        # all outcomes of an entry share one names tuple, in sample_params
+        # key order; a sample whose sampling raised stores no values
+        cfg = verify.RunConfig(seed=7, samples_per_entry=3)
+        grouped = itertools.groupby(verify.verify_all(cfg).outcomes, key=lambda o: o.entry_id)
+        records = sorted(catalog.all_entries(), key=lambda r: r.id)
+        never = core.Relation("never", lambda p: False)
+        assert len(records) == 80
+        for rec, (eid, rows) in zip(records, grouped, strict=True):
+            rows = list(rows)
+            names = rows[0].param_names
+            assert eid == rec.id and all(o.param_names is names for o in rows)
+            for o in rows:
+                params = catalog.sample_params(rec, 7, o.sample_index)
+                assert names == tuple(params)
+                assert list(o.params.items()) == list(params.items())
+            tight = dataclasses.replace(rec, domain=dataclasses.replace(rec.domain, relations=(never,)))
+            with pytest.raises(catalog.DomainTooTightError):
+                catalog.sample_params(tight, 7, 0)
+            (o,) = verify.verify_entry(tight, verify.RunConfig(seed=7, samples_per_entry=1))
+            assert o.status == "sample_error" and o.param_names == names
+            assert o.param_values == () and o.params == {}
+
     def test_holds_only_measured_values(self):
-        # per held outcome: the record, its params dict, the numeric and
-        # closed floats, one float per parameter and the list's pointer,
-        # with 16 B to spare; one more stored float per outcome exceeds it
+        # per held outcome: the record, its values tuple, one float per
+        # value, the numeric and closed floats and the list's pointer, with
+        # 16 B to spare; a dict or a names tuple of its own exceeds it
         cfg = verify.RunConfig(seed=7, samples_per_entry=20)
         verify.verify_all(cfg)  # node tables and lazy imports are built once
         gc.collect()
@@ -271,7 +300,8 @@ class TestOutcomeLayout:
         finally:
             tracemalloc.stop()
         bound = sum(
-            sys.getsizeof(o) + sys.getsizeof(o.params) + sys.getsizeof(0.0) * (2 + len(o.params)) + 8
+            sys.getsizeof(o) + sys.getsizeof(o.param_values)
+            + sys.getsizeof(0.0) * (2 + len(o.param_values)) + 8
             for o in report.outcomes
         )
         assert held <= bound + 16 * len(report.outcomes)
