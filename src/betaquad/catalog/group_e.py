@@ -275,7 +275,7 @@ GROUP_E = [
                 + (p["b"] - 1.0) * np.log(one_minus_pow(log_unit(x, dlo, dhi), p["q"]))
             )
         ),
-        make_spec=lambda p: IntegralSpec.finite(
+        make_spec=lambda p: IntegralSpec(
             0.0, 1.0, p["a"] * p["q"] - 1.0, p["b"] - 1.0
         ),
         closed_form=lambda p: sf.beta(p["a"], p["b"]) / p["q"],
@@ -296,7 +296,7 @@ GROUP_E = [
                 * np.log(one_minus_pow(log_unit(x, dlo, dhi), p["q"]))
             )
         ),
-        make_spec=lambda p: IntegralSpec.finite(
+        make_spec=lambda p: IntegralSpec(
             0.0, 1.0, p["p"] + p["q"] - 1.0, -p["p"] / p["q"]
         ),
         closed_form=lambda p: p["p"]
@@ -319,7 +319,7 @@ GROUP_E = [
                 * np.log(one_minus_pow(log_unit(x, dlo, dhi), p["q"]))
             )
         ),
-        make_spec=lambda p: IntegralSpec.finite(
+        make_spec=lambda p: IntegralSpec(
             0.0, 1.0, p["q"] / p["p"] - 1.0, -1.0 / p["p"]
         ),
         closed_form=lambda p: math.pi / (p["q"] * math.sin(math.pi / p["p"])),
@@ -340,7 +340,7 @@ GROUP_E = [
                 * np.log(one_minus_pow(log_unit(x, dlo, dhi), p["q"]))
             )
         ),
-        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, p["p"] - 1.0, -p["p"] / p["q"]),
+        make_spec=lambda p: IntegralSpec(0.0, 1.0, p["p"] - 1.0, -p["p"] / p["q"]),
         closed_form=lambda p: math.pi
         / (p["q"] * math.sin(math.pi * p["p"] / p["q"])),
     ),
@@ -378,7 +378,7 @@ GROUP_E = [
             ),
         ),
         make_integrand=lambda p: _root_family(p["c"] * p["q"] - p["m"], p["q"]),
-        make_spec=lambda p: IntegralSpec.finite(
+        make_spec=lambda p: IntegralSpec(
             0.0, 1.0, p["c"] * p["q"] - p["m"], -1.0 / p["q"]
         ),
         closed_form=lambda p: sf.beta(
@@ -394,7 +394,7 @@ GROUP_E = [
         make_integrand=lambda p: (
             lambda x, dlo, dhi: power(dlo, 2 * p["n"] + 1) / np.sqrt(dhi * (1.0 + x))
         ),
-        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, 2.0 * p["n"] + 1.0, -0.5),
+        make_spec=lambda p: IntegralSpec(0.0, 1.0, 2.0 * p["n"] + 1.0, -0.5),
         closed_form=lambda p: 2.0 ** (2 * p["n"])
         * math.factorial(p["n"]) ** 2
         / math.factorial(2 * p["n"] + 1),
@@ -407,7 +407,7 @@ GROUP_E = [
         make_integrand=lambda p: (
             lambda x, dlo, dhi: power(dlo, 2 * p["n"]) / np.sqrt(dhi * (1.0 + x))
         ),
-        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, 2.0 * p["n"], -0.5),
+        make_spec=lambda p: IntegralSpec(0.0, 1.0, 2.0 * p["n"], -0.5),
         closed_form=lambda p: math.pi
         / 2.0 ** (2 * p["n"] + 1)
         * math.comb(2 * p["n"], p["n"]),
@@ -418,7 +418,7 @@ GROUP_E = [
         citation="GR 3.267.1: int_0^1 t^(3n)(1-t^3)^(-1/3) dt = (2pi/(3 sqrt(3))) Gamma(n+1/3)/(Gamma(1/3) Gamma(n+1))",
         domain=domain(integer("n", 0, 6)),
         make_integrand=lambda p: _root_family(3.0 * p["n"], 3.0),
-        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, 3.0 * p["n"], -1.0 / 3.0),
+        make_spec=lambda p: IntegralSpec(0.0, 1.0, 3.0 * p["n"], -1.0 / 3.0),
         closed_form=lambda p: 2.0
         * math.pi
         / (3.0 * math.sqrt(3.0))
@@ -431,7 +431,7 @@ GROUP_E = [
         citation="GR 3.267.2: int_0^1 t^(3n-1)(1-t^3)^(-1/3) dt = (n-1)! Gamma(2/3)/(3 Gamma(n+2/3))",
         domain=domain(integer("n", 1, 6)),
         make_integrand=lambda p: _root_family(3.0 * p["n"] - 1.0, 3.0),
-        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, 3.0 * p["n"] - 1.0, -1.0 / 3.0),
+        make_spec=lambda p: IntegralSpec(0.0, 1.0, 3.0 * p["n"] - 1.0, -1.0 / 3.0),
         closed_form=lambda p: math.factorial(p["n"] - 1)
         * sf.gamma(2.0 / 3.0)
         / (3.0 * sf.gamma(p["n"] + 2.0 / 3.0)),
@@ -442,7 +442,7 @@ GROUP_E = [
         citation="GR 3.267.3: int_0^1 t^(3n-2)(1-t^3)^(-1/3) dt = Gamma(n-1/3) Gamma(2/3)/(3 Gamma(n+1/3))",
         domain=domain(integer("n", 1, 6)),
         make_integrand=lambda p: _root_family(3.0 * p["n"] - 2.0, 3.0),
-        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, 3.0 * p["n"] - 2.0, -1.0 / 3.0),
+        make_spec=lambda p: IntegralSpec(0.0, 1.0, 3.0 * p["n"] - 2.0, -1.0 / 3.0),
         closed_form=lambda p: sf.gamma(p["n"] - 1.0 / 3.0)
         * sf.gamma(2.0 / 3.0)
         / (3.0 * sf.gamma(p["n"] + 1.0 / 3.0)),

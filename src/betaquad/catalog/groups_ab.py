@@ -38,7 +38,7 @@ GROUP_A = [
         citation="GR 3.191.3: int_0^1 x^(a-1)(1-x)^(b-1) dx = B(a,b)",
         domain=domain(real("a", 0.0, 5.0), real("b", 0.0, 5.0)),
         make_integrand=lambda p: _beta_kernel(p["a"], p["b"]),
-        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, p["a"] - 1.0, p["b"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, 1.0, p["a"] - 1.0, p["b"] - 1.0),
         closed_form=lambda p: sf.beta(p["a"], p["b"]),
     ),
     IdentityRecord(
@@ -47,7 +47,7 @@ GROUP_A = [
         citation="GR 3.192.1: int_0^1 x^p (1-x)^-p dx = p*pi/sin(p*pi)",
         domain=domain(real("p", 0.0, 1.0)),
         make_integrand=lambda p: _beta_kernel(p["p"] + 1.0, 1.0 - p["p"]),
-        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, p["p"], -p["p"]),
+        make_spec=lambda p: IntegralSpec(0.0, 1.0, p["p"], -p["p"]),
         closed_form=lambda p: p["p"] * math.pi / math.sin(p["p"] * math.pi),
     ),
     IdentityRecord(
@@ -56,7 +56,7 @@ GROUP_A = [
         citation="GR 3.192.2: int_0^1 x^p (1-x)^-(p+1) dx = -pi/sin(p*pi), -1<p<0",
         domain=domain(real("p", -1.0, 0.0)),
         make_integrand=lambda p: _beta_kernel(p["p"] + 1.0, -p["p"]),
-        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, p["p"], -p["p"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, 1.0, p["p"], -p["p"] - 1.0),
         closed_form=lambda p: -math.pi / math.sin(p["p"] * math.pi),
     ),
     IdentityRecord(
@@ -65,7 +65,7 @@ GROUP_A = [
         citation="GR 3.192.3: int_0^1 (1-x)^p x^-(p+1) dx = -pi/sin(p*pi), -1<p<0",
         domain=domain(real("p", -1.0, 0.0)),
         make_integrand=lambda p: _beta_kernel(-p["p"], p["p"] + 1.0),
-        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, -p["p"] - 1.0, p["p"]),
+        make_spec=lambda p: IntegralSpec(0.0, 1.0, -p["p"] - 1.0, p["p"]),
         closed_form=lambda p: -math.pi / math.sin(p["p"] * math.pi),
     ),
     IdentityRecord(
@@ -85,7 +85,7 @@ GROUP_A = [
         citation="GR 3.226.1: int_0^1 x^n/sqrt(1-x) dx = Gamma(n+1) sqrt(pi)/Gamma(n+3/2)",
         domain=domain(integer("n", 0, 6)),
         make_integrand=lambda p: _beta_kernel(p["n"] + 1.0, 0.5),
-        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, p["n"], -0.5),
+        make_spec=lambda p: IntegralSpec(0.0, 1.0, p["n"], -0.5),
         closed_form=lambda p: sf.gamma(p["n"] + 1.0) * SQRT_PI / sf.gamma(p["n"] + 1.5),
     ),
     IdentityRecord(
@@ -94,7 +94,7 @@ GROUP_A = [
         citation="GR 3.226.2: int_0^1 x^(n-1/2)/sqrt(1-x) dx = Gamma(n+1/2) sqrt(pi)/Gamma(n+1)",
         domain=domain(integer("n", 0, 6)),
         make_integrand=lambda p: _beta_kernel(p["n"] + 0.5, 0.5),
-        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, p["n"] - 0.5, -0.5),
+        make_spec=lambda p: IntegralSpec(0.0, 1.0, p["n"] - 0.5, -0.5),
         closed_form=lambda p: sf.gamma(p["n"] + 0.5) * SQRT_PI / sf.gamma(p["n"] + 1.0),
     ),
 ]
@@ -128,7 +128,7 @@ GROUP_B = [
         citation="GR 3.191.1: int_0^u t^(a-1)(u-t)^(b-1) dt = u^(a+b-1) B(a,b)",
         domain=domain(real("u", 0.0, 3.0), real("a", 0.0, 3.0), real("b", 0.0, 3.0)),
         make_integrand=lambda p: _beta_kernel(p["a"], p["b"]),
-        make_spec=lambda p: IntegralSpec.finite(0.0, p["u"], p["a"] - 1.0, p["b"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, p["u"], p["a"] - 1.0, p["b"] - 1.0),
         closed_form=lambda p: p["u"] ** (p["a"] + p["b"] - 1.0) * sf.beta(p["a"], p["b"]),
     ),
     IdentityRecord(
@@ -143,7 +143,7 @@ GROUP_B = [
             rels=(rel("v - u > 0.3", lambda q: q["v"] - q["u"] > 0.3),),
         ),
         make_integrand=lambda p: _beta_kernel(p["a"], p["b"]),
-        make_spec=lambda p: IntegralSpec.finite(p["u"], p["v"], p["a"] - 1.0, p["b"] - 1.0),
+        make_spec=lambda p: IntegralSpec(p["u"], p["v"], p["a"] - 1.0, p["b"] - 1.0),
         closed_form=lambda p: (p["v"] - p["u"]) ** (p["a"] + p["b"] - 1.0)
         * sf.beta(p["a"], p["b"]),
     ),
@@ -153,7 +153,7 @@ GROUP_B = [
         citation="GR 3.193: int_0^n x^(nu-1)(n-x)^n dx = n^(nu+n) n!/(nu(nu+1)...(nu+n))",
         domain=domain(real("nu", 0.0, 3.0), integer("n", 1, 5)),
         make_integrand=lambda p: _beta_kernel(p["nu"], p["n"] + 1.0),
-        make_spec=lambda p: IntegralSpec.finite(0.0, p["n"], p["nu"] - 1.0, p["n"]),
+        make_spec=lambda p: IntegralSpec(0.0, p["n"], p["nu"] - 1.0, p["n"]),
         closed_form=_closed_3193,
     ),
     IdentityRecord(
@@ -166,7 +166,7 @@ GROUP_B = [
                 (p["b"] - 1.0) * np.log(one_minus_pow(log_unit(x, dlo, dhi), p["a"]))
             )
         ),
-        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, 0.0, p["b"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, 1.0, 0.0, p["b"] - 1.0),
         closed_form=lambda p: sf.beta(1.0 / p["a"], p["b"]) / p["a"],
     ),
     IdentityRecord(
@@ -177,7 +177,7 @@ GROUP_B = [
         make_integrand=lambda p: (
             lambda x, dlo, dhi: power(dhi * (1.0 + x), p["b"] - 1.0)
         ),
-        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, 0.0, p["b"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, 1.0, 0.0, p["b"] - 1.0),
         closed_form=lambda p: 0.5 * sf.beta(0.5, p["b"]),
     ),
     IdentityRecord(
@@ -191,7 +191,7 @@ GROUP_B = [
                 + (p["b"] - 1.0) * np.log(one_minus_pow(log_unit(x, dlo, dhi), p["a"]))
             )
         ),
-        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, p["c"] - 1.0, p["b"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, 1.0, p["c"] - 1.0, p["b"] - 1.0),
         closed_form=lambda p: sf.beta(p["c"] / p["a"], p["b"]) / p["a"],
     ),
     IdentityRecord(
@@ -202,7 +202,7 @@ GROUP_B = [
         make_integrand=lambda p: (
             lambda x, dlo, dhi: power(dhi * (p["c"] + x), p["b"] - 1.0)
         ),
-        make_spec=lambda p: IntegralSpec.finite(0.0, p["c"], 0.0, p["b"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, p["c"], 0.0, p["b"] - 1.0),
         closed_form=lambda p: 0.5 * p["c"] ** (2.0 * p["b"] - 1.0) * sf.beta(0.5, p["b"]),
     ),
     IdentityRecord(
@@ -213,7 +213,7 @@ GROUP_B = [
         make_integrand=lambda p: (
             lambda x, dlo, dhi: power(dhi * (p["c"] + x), p["n"] - 0.5)
         ),
-        make_spec=lambda p: IntegralSpec.finite(0.0, p["c"], 0.0, p["n"] - 0.5),
+        make_spec=lambda p: IntegralSpec(0.0, p["c"], 0.0, p["n"] - 0.5),
         closed_form=lambda p: math.pi
         * p["c"] ** (2 * p["n"])
         * math.comb(2 * p["n"], p["n"])

@@ -275,7 +275,7 @@ GROUP_C = [
             lambda x, dlo, dhi: (power(dlo, p["a"] - 1.0) + power(dlo, p["b"] - 1.0))
             * power(1.0 + x, -(p["a"] + p["b"]))
         ),
-        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, np.minimum(p["a"], p["b"]) - 1.0, 0.0),
+        make_spec=lambda p: IntegralSpec(0.0, 1.0, np.minimum(p["a"], p["b"]) - 1.0, 0.0),
         closed_form=lambda p: sf.beta(p["a"], p["b"]),
     ),
     IdentityRecord(

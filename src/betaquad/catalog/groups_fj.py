@@ -148,7 +148,7 @@ GROUP_G = [
             rels=(rel("v - u > 0.3", lambda r: r["v"] - r["u"] > 0.3),),
         ),
         make_integrand=_integrand_4273,
-        make_spec=lambda p: IntegralSpec.finite(
+        make_spec=lambda p: IntegralSpec(
             p["u"], p["v"], p["p"] - 1.0, p["q"] - 1.0
         ),
         closed_form=lambda p: sf.beta(p["p"], p["q"])
@@ -160,7 +160,7 @@ GROUP_G = [
         citation="GR 4.275.1: int_0^1 [(-ln x)^(q-1) - x^(p-1)(1-x)^(q-1)] dx = Gamma(q) - B(p,q)",
         domain=domain(real("p", 0.0, 3.0), real("q", 0.0, 3.0)),
         make_integrand=_integrand_4275_1,
-        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, np.minimum(p["p"] - 1.0, 0.0), p["q"]),
+        make_spec=lambda p: IntegralSpec(0.0, 1.0, np.minimum(p["p"] - 1.0, 0.0), p["q"]),
         closed_form=lambda p: sf.gamma(p["q"]) - sf.beta(p["p"], p["q"]),
     ),
     IdentityRecord(
@@ -171,7 +171,7 @@ GROUP_G = [
         make_integrand=lambda p: (
             lambda x, dlo, dhi: power(neg_log_unit(x, dlo, dhi), p["q"] - 1.0)
         ),
-        make_spec=lambda p: IntegralSpec.finite(0.0, 1.0, 0.0, p["q"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, 1.0, 0.0, p["q"] - 1.0),
         closed_form=lambda p: sf.gamma(p["q"]),
     ),
 ]

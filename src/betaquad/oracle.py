@@ -85,7 +85,7 @@ def oracle_integrate(f, spec: IntegralSpec, tol: float = 1e-10) -> float:
     if spec.poles:
         raise ValueError("oracle_integrate does not handle principal values")
 
-    if spec.kind == "finite":
+    if math.isfinite(spec.lo) and math.isfinite(spec.hi):
         lo, hi, mid = spec.lo, spec.hi, 0.5 * (spec.lo + spec.hi)
         span = hi - lo
 
@@ -107,8 +107,8 @@ def oracle_integrate(f, spec: IntegralSpec, tol: float = 1e-10) -> float:
         v2, _ = _adaptive_gk(g_right, 0.0, (hi - mid) ** (1.0 / q), 0.5 * tol)
         return v1 + v2
 
-    if spec.kind in ("half_line_up", "half_line_down"):
-        up = spec.kind == "half_line_up"
+    if math.isfinite(spec.lo) or math.isfinite(spec.hi):
+        up = math.isfinite(spec.lo)
         anchor = spec.lo if up else spec.hi
         alpha = spec.alpha_lo if up else spec.alpha_hi
         p = 1.0 / (1.0 + alpha) if alpha < 0.0 else 1.0

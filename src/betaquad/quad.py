@@ -17,7 +17,8 @@ integrate_rows       many integrals of one integrand family at once, one
                      level block for all rows still open.
 
 An IntegralSpec, one for all rows of an ``integrate_rows`` call, is
-validated when built and stores an infinite end as -inf or +inf.
+validated when built.  Its ends alone say the domain's shape: -inf as
+``lo`` or +inf as ``hi`` makes a half-line, both the real line.
 ``integrate_rows`` broadcasts its ends to (rows x 1) columns and its poles
 to a (rows x poles) array; the driver reads nothing else.
 
@@ -90,15 +91,6 @@ class PoleWindowError(QuadratureError):
     """No symmetric window fits around a declared principal-value pole."""
 
 
-# the infinite ends of each domain kind, None where an end is finite: (lower, upper)
-_INFINITE_ENDS = {
-    "finite": (None, None),
-    "half_line_up": (None, math.inf),
-    "half_line_down": (-math.inf, None),
-    "real_line": (-math.inf, math.inf),
-}
-
-
 def _is_column(value):
     return isinstance(value, np.ndarray) and value.shape[1:] == (1,) and value.dtype.kind in "iuf"
 
@@ -115,6 +107,11 @@ def _real(value):
         return math.inf if value > 0 else -math.inf
 
 
+def _infinite(end):
+    """Whether a spec end is infinite: the spec stores such an end as a float."""
+    return type(end) is float and math.isinf(end)
+
+
 def _span(value):
     return (value, value) if type(value) is float else (value.min(), value.max())
 
@@ -123,40 +120,36 @@ def _span(value):
 class IntegralSpec:
     """Domain, endpoint singularity exponents and interior pole locations.
 
-    ``alpha_lo``/``alpha_hi`` describe power-law behaviour of the integrand
-    near the corresponding finite endpoint; both must be finite and exceed
-    -1 for the integral to exist.  They are declarative: the engines do not
-    read them, ``catalog.endpoint_slope_audit`` checks them against the
-    integrand.  ``kind`` says which ends are infinite, and the spec stores
-    such an end as ``-math.inf`` (``lo``) or ``math.inf`` (``hi``), so
-    every end is a number next to its exponent.  An infinite end is given
-    as None or as that same infinity (what ``dataclasses.replace`` passes
-    back) and takes a zero exponent; a finite domain's width ``hi - lo``
-    must be finite.  Poles, any iterable but a string, are simple, sorted
-    in each row, and trigger principal-value treatment.  A bool or non-real
+    The ends say the domain's shape: ``lo`` may be ``-math.inf`` and ``hi``
+    ``math.inf``, for a half-line or the real line.  An infinite end is
+    stored as that float and takes a zero exponent; between finite ends,
+    lo < hi and the width ``hi - lo`` must be finite.  ``alpha_lo``/
+    ``alpha_hi`` describe power-law behaviour of the integrand near the
+    corresponding finite endpoint; both must be finite and exceed -1 for
+    the integral to exist.  They are declarative: the engines do not read
+    them, ``catalog.endpoint_slope_audit`` checks them against the
+    integrand.  Poles, any iterable but a string, are simple, sorted in
+    each row, and trigger principal-value treatment.  A bool or non-real
     field fails its check with that check's ValueError.  Each field may be
     a (rows x 1) column, all of one length but for one-row columns, and each
     row is checked, and named in a pole message, as its own spec would be:
     ends, exponents and width by their float extremes (NaN if any row is).
+    An end is finite in every row or infinite in all, so the rows share
+    their infinite sides.
     """
 
-    kind: str  # "finite" | "half_line_up" | "half_line_down" | "real_line"
-    lo: float | np.ndarray | None = None
-    hi: float | np.ndarray | None = None
+    lo: float | np.ndarray
+    hi: float | np.ndarray
     alpha_lo: float | np.ndarray = 0.0
     alpha_hi: float | np.ndarray = 0.0
     poles: tuple = ()
 
     def __post_init__(self):
-        ends = _INFINITE_ENDS.get(self.kind)
-        if ends is None:
-            raise ValueError(f"unknown domain kind {self.kind!r}")
         if isinstance(self.poles, str) or not np.iterable(self.poles):
             raise ValueError("poles must be an iterable of interior poles")
         poles = tuple(self.poles)
-        # None stands for an infinite end, NaN for no real number and fails every check
-        lo, hi = (e if v is None else v for v, e in zip((self.lo, self.hi), ends))
-        lo, hi, alpha_lo, alpha_hi, *at = map(_real, (lo, hi, self.alpha_lo, self.alpha_hi, *poles))
+        # NaN stands for no real number and fails every check
+        lo, hi, alpha_lo, alpha_hi, *at = map(_real, (self.lo, self.hi, self.alpha_lo, self.alpha_hi, *poles))
         rows = {len(v) for v in (lo, hi, alpha_lo, alpha_hi, *at) if type(v) is not float}
         if 0 in rows or len(rows - {1}) > 1:
             raise ValueError("spec columns must have at least one row" if 0 in rows
@@ -166,18 +159,20 @@ class IntegralSpec:
             raise ValueError("endpoint exponents must exceed -1 for integrability")
         if not all(alpha_high < math.inf for _, (_, alpha_high) in sides):
             raise ValueError("endpoint exponents must be finite")
-        for name, attr, ((low, high), alpha), infinity in zip(("lower", "upper"), ("lo", "hi"), sides, ends):
-            if infinity is None and not -math.inf < low <= high < math.inf:
-                raise ValueError(f"{self.kind} requires a finite {name} endpoint")
-            if infinity is not None:
-                if not low == high == infinity or alpha != (0.0, 0.0):
-                    raise ValueError(f"{self.kind} takes no {name} endpoint or exponent (infinite end)")
+        finite = True
+        for attr, ((low, high), alpha), infinity in zip(("lo", "hi"), sides, (-math.inf, math.inf)):
+            if low == high == infinity:
+                if alpha != (0.0, 0.0):
+                    raise ValueError(f"an infinite {attr} takes no exponent")
                 object.__setattr__(self, attr, infinity)
+                finite = False
+            elif not -math.inf < low <= high < math.inf:
+                raise ValueError(f"{attr} must be finite in every row or {infinity} in every row")
         with np.errstate(over="ignore"):
-            low, high = _span(hi - lo)  # hi - lo of finite ends is 0 or less unless lo < hi
-        if self.kind == "finite" and not low > 0.0:
+            low, high = _span(hi - lo)  # 0 or less unless lo < hi, inf with an infinite end
+        if not low > 0.0:
             raise ValueError("finite domain requires lo < hi")
-        if self.kind == "finite" and not high < math.inf:
+        if finite and not high < math.inf:
             raise ValueError("finite domain width hi - lo overflows")
         if poles:
             s = np.empty((max(rows, default=1), len(at)))  # (rows x poles)
@@ -195,22 +190,18 @@ class IntegralSpec:
             poles = tuple(ordered.T[..., None]) if any(map(_is_column, poles)) else tuple(sorted(poles))
         object.__setattr__(self, "poles", poles)
 
-    # convenience constructors -------------------------------------------
-    @classmethod
-    def finite(cls, lo, hi, alpha_lo=0.0, alpha_hi=0.0, poles=()):
-        return cls("finite", lo, hi, alpha_lo, alpha_hi, poles)
-
+    # convenience constructors: each fills in the infinite ends --------------
     @classmethod
     def half_line_up(cls, lo, alpha_lo=0.0, poles=()):
-        return cls("half_line_up", lo, None, alpha_lo, 0.0, poles)
+        return cls(lo, math.inf, alpha_lo, 0.0, poles)
 
     @classmethod
     def half_line_down(cls, hi, alpha_hi=0.0, poles=()):
-        return cls("half_line_down", None, hi, 0.0, alpha_hi, poles)
+        return cls(-math.inf, hi, 0.0, alpha_hi, poles)
 
     @classmethod
     def real_line(cls, poles=()):
-        return cls("real_line", None, None, 0.0, 0.0, poles)
+        return cls(-math.inf, math.inf, 0.0, 0.0, poles)
 
 
 @dataclass(frozen=True, slots=True)
@@ -644,7 +635,7 @@ def integrate_rows(make_f, spec, nrows, tol: float = DEFAULT_TOL, make_folds=Non
 
 def integrate_finite(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """tanh-sinh on a finite interval with optional endpoint singularities."""
-    if spec.kind != "finite":
+    if _infinite(spec.lo) or _infinite(spec.hi):
         raise ValueError("integrate_finite requires a finite-domain spec")
     if spec.poles:
         raise ValueError("interior poles require integrate_pv")
@@ -653,7 +644,7 @@ def integrate_finite(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> Quadrat
 
 def integrate_half_line(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """exp-sinh on [lo, inf) or (-inf, hi]."""
-    if spec.kind not in ("half_line_up", "half_line_down"):
+    if _infinite(spec.lo) == _infinite(spec.hi):
         raise ValueError("integrate_half_line requires a half-line spec")
     if spec.poles:
         raise ValueError("interior poles require integrate_pv")

@@ -8,7 +8,8 @@ are several orders tighter than the quadrature tolerances used
 downstream.  Gamma uses a fixed-coefficient Lanczos
 approximation (g = 7, 9 terms) with an upward recurrence for large
 arguments so the giant-power evaluation does not dominate the error;
-negative arguments go through the reflection formula.  Digamma shifts its
+negative arguments go through the reflection formula, in log space where
+Gamma(1-x) overflows.  Digamma shifts its
 argument up by recurrence and finishes with the Bernoulli asymptotic
 series.
 """
@@ -113,6 +114,10 @@ def gamma(x: float) -> float:
         raise OverflowError(f"gamma({x!r}) overflows double precision")
     if x >= 0.5:
         return _gamma_positive(x)
+    if 1.0 - x > GAMMA_OVERFLOW_THRESHOLD:
+        # Gamma(1-x) overflows, Gamma(x) is still normal, subnormal or a signed zero
+        logabs, sign = _log_abs_gamma_signed(x)
+        return math.copysign(math.exp(logabs), sign)
     # reflection: Gamma(x) = pi / (sin(pi x) Gamma(1-x)), infinite for |x| below ~5.6e-309
     g = math.pi / (_sinpi(x) * _gamma_positive(1.0 - x))
     if math.isinf(g):

@@ -29,18 +29,32 @@ def rejects(message):
     return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
 
 
+# the infinite ends of each domain shape, which a test row's fields may override
+SHAPE_ENDS = {
+    "finite": {},
+    "half_line_up": {"hi": math.inf},
+    "half_line_down": {"lo": -math.inf},
+    "real_line": {"lo": -math.inf, "hi": math.inf},
+}
+
+
+def shaped(shape, **fields):
+    """A spec of one domain shape: its infinite ends, then ``fields``."""
+    return IntegralSpec(**{**SHAPE_ENDS[shape], **fields})
+
+
 class TestSpecValidation:
     def test_exponents_must_be_integrable(self):
         with rejects("endpoint exponents must exceed -1 for integrability"):
-            IntegralSpec.finite(0.0, 1.0, alpha_lo=-1.0)
+            IntegralSpec(0.0, 1.0, alpha_lo=-1.0)
 
     def test_finite_needs_ordered_endpoints(self):
         with rejects("finite domain requires lo < hi"):
-            IntegralSpec.finite(1.0, 1.0)
+            IntegralSpec(1.0, 1.0)
 
     def test_pole_strictly_inside(self):
         with rejects("pole 1.0 is not strictly inside (0.0, 1.0)"):
-            IntegralSpec.finite(0.0, 1.0, poles=(1.0,))
+            IntegralSpec(0.0, 1.0, poles=(1.0,))
         with rejects("pole -2.0 is not strictly inside (0.0, inf)"):
             IntegralSpec.half_line_up(0.0, poles=(-2.0,))
         with rejects("pole 0.0 is not strictly inside (-inf, 0.0)"):
@@ -48,69 +62,61 @@ class TestSpecValidation:
 
     def test_poles_distinct_and_sorted(self):
         with rejects("interior poles must be pairwise distinct"):
-            IntegralSpec.finite(0.0, 3.0, poles=(1.0, 1.0))
-        spec = IntegralSpec.finite(0.0, 3.0, poles=(2.0, 1.0))
+            IntegralSpec(0.0, 3.0, poles=(1.0, 1.0))
+        spec = IntegralSpec(0.0, 3.0, poles=(2.0, 1.0))
         assert spec.poles == (1.0, 2.0)
-        assert IntegralSpec("real_line", poles=[]).poles == ()
-
-    def test_unknown_kind(self):
-        with rejects("unknown domain kind 'circle'"):
-            IntegralSpec("circle")
+        assert IntegralSpec.real_line(poles=[]).poles == ()
 
     @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)])
     def test_finite_endpoints_must_be_finite(self, lo, hi):
-        end = "upper" if math.isfinite(lo) else "lower"
-        with rejects(f"finite requires a finite {end} endpoint"):
-            IntegralSpec.finite(lo, hi)
+        # an infinite end makes a half-line, which the finite engine refuses;
+        # NaN is no end at all, which the spec refuses
+        if math.isnan(lo):
+            with rejects("lo must be finite in every row or -inf in every row"):
+                IntegralSpec(lo, hi)
+        else:
+            with rejects("integrate_finite requires a finite-domain spec"):
+                quad.integrate_finite(_never_called, IntegralSpec(lo, hi))
 
     def test_half_line_anchor_must_be_finite(self):
-        with rejects("half_line_up requires a finite lower endpoint"):
+        with rejects("lo must be finite in every row or -inf in every row"):
             IntegralSpec.half_line_up(math.inf)
-        with rejects("half_line_down requires a finite upper endpoint"):
+        with rejects("hi must be finite in every row or inf in every row"):
             IntegralSpec.half_line_down(-math.inf)
-        with rejects("half_line_up requires a finite lower endpoint"):
+        with rejects("lo must be finite in every row or -inf in every row"):
             IntegralSpec.half_line_up(math.nan)
 
-    @pytest.mark.parametrize("kind, fields", [
-        ("half_line_up", dict(lo=0.0, hi=5.0)),
+    @pytest.mark.parametrize("shape, fields", [
         ("half_line_up", dict(lo=0.0, alpha_hi=0.5)),
-        ("half_line_down", dict(lo=-5.0, hi=0.0)),
         ("half_line_down", dict(hi=0.0, alpha_lo=0.5)),
-        ("real_line", dict(lo=0.0)),
-        ("real_line", dict(hi=0.0)),
         ("real_line", dict(alpha_lo=0.5)),
         ("real_line", dict(alpha_hi=-0.5)),
     ])
-    def test_infinite_end_takes_no_endpoint_or_exponent(self, kind, fields):
-        # e.g. a half_line_up hi would be ignored, not integrate over [lo, hi]
-        infinite = {"half_line_up": ("hi",), "half_line_down": ("lo",), "real_line": ("lo", "hi")}
-        end = next(  # the message names the infinite end that the fields set
-            "lower" if e == "lo" else "upper"
-            for e in infinite[kind] if e in fields or f"alpha_{e}" in fields
-        )
-        with rejects(f"{kind} takes no {end} endpoint or exponent (infinite end)"):
-            IntegralSpec(kind, **fields)
+    def test_infinite_end_takes_no_endpoint_or_exponent(self, shape, fields):
+        end = "lo" if "alpha_lo" in fields else "hi"
+        with rejects(f"an infinite {end} takes no exponent"):
+            shaped(shape, **fields)
 
     def test_finite_width_must_not_overflow(self):
         # hi - lo would be inf: the engines' interval length
         with rejects("finite domain width hi - lo overflows"):
-            IntegralSpec.finite(-1e308, 1e308)
+            IntegralSpec(-1e308, 1e308)
 
     def test_nan_exponent_rejected(self):
         with rejects("endpoint exponents must exceed -1 for integrability"):
-            IntegralSpec.finite(0.0, 1.0, alpha_lo=math.nan)
+            IntegralSpec(0.0, 1.0, alpha_lo=math.nan)
         with rejects("endpoint exponents must exceed -1 for integrability"):
             IntegralSpec.half_line_down(0.0, alpha_hi=math.nan)
 
     def test_infinite_exponent_rejected(self):
         # an infinite exponent passes the integrability test but is no power law
         with rejects("endpoint exponents must be finite"):
-            IntegralSpec.finite(0.0, 1.0, alpha_lo=math.inf)
+            IntegralSpec(0.0, 1.0, alpha_lo=math.inf)
         with rejects("endpoint exponents must be finite"):
             IntegralSpec.half_line_up(0.0, alpha_lo=math.inf)
 
     @pytest.mark.parametrize("spec, lo, hi", [
-        (IntegralSpec.finite(0.0, 1.0), 0.0, 1.0),
+        (IntegralSpec(0.0, 1.0), 0.0, 1.0),
         (IntegralSpec.half_line_up(2.0, alpha_lo=0.5), 2.0, math.inf),
         (IntegralSpec.half_line_down(-1.0, poles=(-3.0,)), -math.inf, -1.0),
         (IntegralSpec.real_line(poles=(0.5,)), -math.inf, math.inf),
@@ -120,32 +126,34 @@ class TestSpecValidation:
         # replace passes the stored infinities back in
         assert dataclasses.replace(spec) == spec
         assert dataclasses.replace(spec, poles=()).poles == ()
-        assert IntegralSpec(spec.kind, lo, hi, spec.alpha_lo, spec.alpha_hi, spec.poles) == spec
+        assert IntegralSpec(lo, hi, spec.alpha_lo, spec.alpha_hi, spec.poles) == spec
+        assert IntegralSpec(**dataclasses.asdict(spec)) == spec
 
-    @pytest.mark.parametrize("kind, fields", [
+    @pytest.mark.parametrize("shape, fields", [
         ("half_line_up", dict(lo=0.0, hi=-math.inf)),
         ("half_line_down", dict(lo=math.inf, hi=0.0)),
         ("real_line", dict(lo=math.inf)),
         ("real_line", dict(hi=-math.inf)),
-        ("real_line", dict(lo=-math.inf, hi=1e308)),
     ])
-    def test_infinite_end_takes_only_its_own_infinity(self, kind, fields):
-        with pytest.raises(ValueError, match=f"{kind} takes no (lower|upper) endpoint or exponent"):
-            IntegralSpec(kind, **fields)
+    def test_infinite_end_takes_only_its_own_infinity(self, shape, fields):
+        end, infinity = ("lo", "-inf") if fields.get("lo") == math.inf else ("hi", "inf")
+        with rejects(f"{end} must be finite in every row or {infinity} in every row"):
+            shaped(shape, **fields)
 
-    @pytest.mark.parametrize("value", [True, pytest.param(np.True_, id="np.True_"), "0.25", 0.25j])
+    @pytest.mark.parametrize("value", [True, pytest.param(np.True_, id="np.True_"), "0.25", 0.25j, None])
     def test_end_must_be_real(self, value):
-        # a bool would count as 0 or 1; a string or complex fails a comparison
-        with rejects("finite requires a finite lower endpoint"):
-            IntegralSpec.finite(value, 2.0)
-        with rejects("finite requires a finite upper endpoint"):
-            IntegralSpec.finite(-2.0, value)
-        with rejects("half_line_up requires a finite lower endpoint"):
+        # a bool would count as 0 or 1; a string or complex fails a comparison;
+        # None does not stand for an infinite end
+        lower = "lo must be finite in every row or -inf in every row"
+        upper = "hi must be finite in every row or inf in every row"
+        with rejects(lower):
+            IntegralSpec(value, 2.0)
+        with rejects(upper):
+            IntegralSpec(-2.0, value)
+        with rejects(lower):
             IntegralSpec.half_line_up(value)
-        with rejects("half_line_down requires a finite upper endpoint"):
+        with rejects(upper):
             IntegralSpec.half_line_down(value)
-        with rejects("real_line takes no lower endpoint or exponent (infinite end)"):
-            IntegralSpec("real_line", lo=value)
 
     @pytest.mark.parametrize("value", [
         True, False, pytest.param(np.True_, id="np.True_"), pytest.param(np.False_, id="np.False_"),
@@ -153,47 +161,48 @@ class TestSpecValidation:
     ])
     def test_exponent_must_be_real(self, value):
         with rejects("endpoint exponents must exceed -1 for integrability"):
-            IntegralSpec.finite(0.0, 1.0, alpha_lo=value)
+            IntegralSpec(0.0, 1.0, alpha_lo=value)
         with rejects("endpoint exponents must exceed -1 for integrability"):
-            IntegralSpec.finite(0.0, 1.0, alpha_hi=value)
+            IntegralSpec(0.0, 1.0, alpha_hi=value)
         with rejects("endpoint exponents must exceed -1 for integrability"):
             IntegralSpec.half_line_up(0.0, alpha_lo=value)
 
     @pytest.mark.parametrize("value", [True, pytest.param(np.True_, id="np.True_"), "0.5", 0.5j])
     def test_pole_must_be_real(self, value):
         with rejects(f"pole {value!r} is not strictly inside (-2.0, 2.0)"):
-            IntegralSpec.finite(-2.0, 2.0, poles=(value,))
+            IntegralSpec(-2.0, 2.0, poles=(value,))
         with rejects(f"pole {value!r} is not strictly inside (-inf, inf)"):
             IntegralSpec.real_line(poles=(-1.0, value))
 
     def test_numpy_reals_accepted(self):
-        spec = IntegralSpec.finite(np.float64(0.0), np.int64(2), np.float32(0.5), poles=(np.float64(1.0),))
-        assert spec == IntegralSpec.finite(0.0, 2.0, 0.5, poles=(1.0,))
+        spec = IntegralSpec(np.float64(0.0), np.int64(2), np.float32(0.5), poles=(np.float64(1.0),))
+        assert spec == IntegralSpec(0.0, 2.0, 0.5, poles=(1.0,))
 
     def test_integer_too_large_for_a_float_is_infinite(self):
-        with rejects("finite requires a finite upper endpoint"):
-            IntegralSpec.finite(0, 10**400)
+        assert IntegralSpec(0, 10**400) == IntegralSpec.half_line_up(0.0)
+        with rejects("hi must be finite in every row or inf in every row"):
+            IntegralSpec(0, -10**400)
         with rejects("endpoint exponents must be finite"):
-            IntegralSpec.finite(0.0, 1.0, alpha_lo=10**400)
+            IntegralSpec(0.0, 1.0, alpha_lo=10**400)
         with rejects("endpoint exponents must exceed -1 for integrability"):
-            IntegralSpec.finite(0.0, 1.0, alpha_hi=-10**400)
+            IntegralSpec(0.0, 1.0, alpha_hi=-10**400)
 
     def test_poles_must_be_an_iterable(self):
         for poles in (None, 0.5, "0.5"):
             with rejects("poles must be an iterable of interior poles"):
-                IntegralSpec("real_line", poles=poles)
+                IntegralSpec.real_line(poles=poles)
         # any other iterable is taken as a tuple
-        spec = IntegralSpec.finite(0.0, 3.0, poles=(2.0, 1.0))
+        spec = IntegralSpec(0.0, 3.0, poles=(2.0, 1.0))
         for poles in ([2.0, 1.0], np.array([2.0, 1.0]), (s for s in (2.0, 1.0)), range(2, 0, -1)):
-            assert IntegralSpec.finite(0.0, 3.0, poles=poles) == spec
+            assert IntegralSpec(0.0, 3.0, poles=poles) == spec
 
     def test_list_pole_is_not_a_column(self):
         with rejects("pole [0.5] is not strictly inside (0.0, 1.0)"):
-            IntegralSpec.finite(0.0, 1.0, poles=([0.5],))
+            IntegralSpec(0.0, 1.0, poles=([0.5],))
         with rejects("pole array([0.5]) is not strictly inside (0.0, 1.0)"):
-            IntegralSpec.finite(0.0, 1.0, poles=(np.array([0.5]),))
-        with rejects("finite requires a finite upper endpoint"):
-            IntegralSpec.finite(0.0, np.array([[True]]))
+            IntegralSpec(0.0, 1.0, poles=(np.array([0.5]),))
+        with rejects("hi must be finite in every row or inf in every row"):
+            IntegralSpec(0.0, np.array([[True]]))
 
 
 def _row(value, i):
@@ -215,7 +224,7 @@ class TestColumnSpec:
     (rows x 1) column, every row checked as its own spec would be."""
 
     # four rows each, exactly one of them bad
-    @pytest.mark.parametrize("kind, fields", [
+    @pytest.mark.parametrize("shape, fields", [
         ("finite", dict(lo=0.0, hi=1.0, alpha_lo=[0.5, -0.5, -1.0, 0.2])),
         ("finite", dict(lo=0.0, hi=1.0, alpha_hi=[0.0, math.inf, 0.1, 0.2])),
         ("finite", dict(lo=0.0, hi=[1.0, 2.0, math.nan, 3.0])),
@@ -228,21 +237,21 @@ class TestColumnSpec:
         ("half_line_down", dict(hi=0.0, poles=(-0.5, [-1.0, -2.0, 0.5, -3.0]))),
         ("real_line", dict(poles=([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 3.0, 5.0]))),
     ])
-    def test_one_bad_row_raises_its_lone_message(self, kind, fields):
+    def test_one_bad_row_raises_its_lone_message(self, shape, fields):
         messages = []
         for i in range(4):
             try:
-                IntegralSpec(kind, **{k: _row(v, i) for k, v in fields.items()})
+                shaped(shape, **{k: _row(v, i) for k, v in fields.items()})
             except ValueError as exc:
                 messages.append(str(exc))
         assert len(messages) == 1
         with rejects(messages[0]):
-            IntegralSpec(kind, **{k: _column(v) for k, v in fields.items()})
+            shaped(shape, **{k: _column(v) for k, v in fields.items()})
 
     def test_columns_are_kept_and_poles_sorted_per_row(self):
         a = np.array([[0.5], [2.0]])
         b = np.array([[1.5], [0.25]])
-        spec = IntegralSpec.finite(0.0, 3.0, a - 1.0, poles=(a, b))
+        spec = IntegralSpec(0.0, 3.0, a - 1.0, poles=(a, b))
         assert spec.lo == 0.0 and spec.hi == 3.0
         np.testing.assert_array_equal(spec.alpha_lo, a - 1.0)
         assert all(s.shape == (2, 1) for s in spec.poles)
@@ -251,14 +260,20 @@ class TestColumnSpec:
 
     def test_columns_share_one_length(self):
         with rejects("spec columns must share one length"):
-            IntegralSpec.finite(np.zeros((2, 1)), np.ones((3, 1)))
+            IntegralSpec(np.zeros((2, 1)), np.ones((3, 1)))
         # a one-row column holds for every row
-        IntegralSpec.finite(np.zeros((1, 1)), np.ones((3, 1)))
+        IntegralSpec(np.zeros((1, 1)), np.ones((3, 1)))
+
+    def test_rows_share_their_infinite_sides(self):
+        # each row alone is a valid spec, but the driver reads the shape from row 0
+        hi = np.array([[math.inf], [2.0]])
+        with rejects("hi must be finite in every row or inf in every row"):
+            quad.integrate_rows(lambda rows: _never_called, IntegralSpec(0.0, hi), 2)
 
     def test_one_row_column_names_the_failing_rows_values(self):
         # the ends hold for every row: row 1's message reads them from row 0
         with rejects("pole 2.0 is not strictly inside (0.0, 1.0)"):
-            IntegralSpec.finite(np.zeros((1, 1)), np.ones((1, 1)), poles=(np.array([[0.5], [2.0]]),))
+            IntegralSpec(np.zeros((1, 1)), np.ones((1, 1)), poles=(np.array([[0.5], [2.0]]),))
         with rejects("pole 3 is not strictly inside (-inf, 0.0)"):
             IntegralSpec.half_line_down(np.zeros((1, 1)), poles=(np.array([[-1], [-2], [3]]), -0.5))
 
@@ -269,12 +284,12 @@ class TestColumnSpec:
     ], ids=["end", "exponent", "pole"])
     def test_zero_row_columns_are_rejected(self, fields):
         with rejects("spec columns must have at least one row"):
-            IntegralSpec("finite", **fields)
+            IntegralSpec(**fields)
 
     def test_integer_columns_are_checked_in_float(self):
         # hi - lo is 2**63 in row 0, which wraps negative in int64
         lo, hi = np.array([[-2**62], [-4]]), np.array([[2**62], [4]])
-        spec = IntegralSpec.finite(lo, hi, poles=(np.array([[1], [-1]]), np.array([[-3], [2]])))
+        spec = IntegralSpec(lo, hi, poles=(np.array([[1], [-1]]), np.array([[-3], [2]])))
         assert spec.lo is lo and spec.hi is hi
         assert all(s.dtype == float and s.shape == (2, 1) for s in spec.poles)
         np.testing.assert_array_equal(np.hstack(spec.poles), [[-3.0, 1.0], [-1.0, 2.0]])
@@ -283,7 +298,7 @@ class TestColumnSpec:
 class TestRecordLayout:
     """The per-row records are slotted: no instance dict, frozen as before."""
 
-    SPEC = IntegralSpec.finite(0.0, 2.0, alpha_lo=0.5, poles=(1.0,))
+    SPEC = IntegralSpec(0.0, 2.0, alpha_lo=0.5, poles=(1.0,))
     RESULT = quad.QuadratureResult(0.5, 1e-12, 99, "converged", (0.1, 1e-12))
 
     @pytest.mark.parametrize("record", [SPEC, RESULT], ids=["spec", "result"])
@@ -306,7 +321,7 @@ class TestRecordLayout:
 
     def test_spec_hash_and_validation_survive(self):
         spec = self.SPEC
-        assert hash(spec) == hash(IntegralSpec.finite(0.0, 2.0, alpha_lo=0.5, poles=(1.0,)))
+        assert hash(spec) == hash(IntegralSpec(0.0, 2.0, alpha_lo=0.5, poles=(1.0,)))
         assert hash(pickle.loads(pickle.dumps(spec))) == hash(spec)
         assert {spec, dataclasses.replace(spec)} == {spec}
         assert dataclasses.replace(spec, poles=(1.5, 0.5)).poles == (0.5, 1.5)
@@ -329,7 +344,7 @@ class TestRecordLayout:
 class TestFinite:
     def test_linear(self):
         res = quad.integrate_finite(
-            lambda x, dlo, dhi: x, IntegralSpec.finite(0.0, 1.0), TOL
+            lambda x, dlo, dhi: x, IntegralSpec(0.0, 1.0), TOL
         )
         assert res.converged and res.evaluations > 0
         assert res.value == pytest.approx(0.5, abs=1e-12)
@@ -337,7 +352,7 @@ class TestFinite:
     def test_arcsine_singularity(self):
         res = quad.integrate_finite(
             lambda x, dlo, dhi: 1.0 / np.sqrt(dlo * dhi),
-            IntegralSpec.finite(0.0, 1.0, -0.5, -0.5),
+            IntegralSpec(0.0, 1.0, -0.5, -0.5),
             TOL,
         )
         assert res.converged
@@ -345,14 +360,14 @@ class TestFinite:
 
     def test_polynomial(self):
         res = quad.integrate_finite(
-            lambda x, dlo, dhi: x * dhi * dhi, IntegralSpec.finite(0.0, 1.0), TOL
+            lambda x, dlo, dhi: x * dhi * dhi, IntegralSpec(0.0, 1.0), TOL
         )
         assert res.value == pytest.approx(1.0 / 12.0, rel=1e-12)
 
     def test_extreme_exponents(self):
         res = quad.integrate_finite(
             lambda x, dlo, dhi: dlo ** -0.95 * dhi ** -0.95,
-            IntegralSpec.finite(0.0, 1.0, -0.95, -0.95),
+            IntegralSpec(0.0, 1.0, -0.95, -0.95),
             TOL,
         )
         assert res.converged
@@ -365,7 +380,7 @@ class TestFinite:
             seen["min"] = min(seen["min"], float(np.min(dlo)), float(np.min(dhi)))
             return np.ones_like(x)
 
-        quad.integrate_finite(probe, IntegralSpec.finite(2.0, 5.0), TOL)
+        quad.integrate_finite(probe, IntegralSpec(2.0, 5.0), TOL)
         assert seen["min"] > 0.0
 
     def test_rejects_wrong_kind(self):
@@ -383,13 +398,13 @@ def _never_called(x, dlo, dhi):
 @pytest.mark.parametrize(
     "engine",
     [
-        lambda tol: quad.integrate_finite(_never_called, IntegralSpec.finite(0.0, 1.0), tol),
+        lambda tol: quad.integrate_finite(_never_called, IntegralSpec(0.0, 1.0), tol),
         lambda tol: quad.integrate_half_line(_never_called, IntegralSpec.half_line_up(0.0), tol),
         lambda tol: quad.integrate_real_line(_never_called, tol),
         lambda tol: quad.integrate_pv(
-            _never_called, IntegralSpec.finite(0.0, 2.0, poles=(1.0,)), tol
+            _never_called, IntegralSpec(0.0, 2.0, poles=(1.0,)), tol
         ),
-        lambda tol: quad.integrate(_never_called, IntegralSpec.finite(0.0, 1.0), tol),
+        lambda tol: quad.integrate(_never_called, IntegralSpec(0.0, 1.0), tol),
     ],
     ids=["finite", "half_line", "real_line", "pv", "integrate"],
 )
@@ -461,7 +476,7 @@ class TestPrincipalValue:
         # default pairing carries ~1e-9 of offset-reconstruction noise
         res = quad.integrate_pv(
             lambda x, dlo, dhi: 1.0 / (x - 1.0),
-            IntegralSpec.finite(0.0, 2.0, poles=(1.0,)),
+            IntegralSpec(0.0, 2.0, poles=(1.0,)),
             TOL,
         )
         assert res.converged
@@ -534,7 +549,7 @@ class TestPrincipalValue:
         s = 1.3
         res = quad.integrate_pv(
             lambda x, dlo, dhi: 1.0 / (x - s) + (x - s) ** 3,
-            IntegralSpec.finite(s - 1.0, s + 1.0, poles=(s,)),
+            IntegralSpec(s - 1.0, s + 1.0, poles=(s,)),
             TOL,
         )
         assert res.value == pytest.approx(0.0, abs=1e-7)
@@ -542,7 +557,7 @@ class TestPrincipalValue:
     def test_requires_declared_pole(self):
         with pytest.raises(ValueError):
             quad.integrate_pv(
-                lambda x, dlo, dhi: x, IntegralSpec.finite(0.0, 1.0), TOL
+                lambda x, dlo, dhi: x, IntegralSpec(0.0, 1.0), TOL
             )
 
 
@@ -550,7 +565,7 @@ class TestDriverBehaviour:
     def test_nonconvergence_on_interior_kink(self):
         res = quad.integrate_finite(
             lambda x, dlo, dhi: np.abs(x - 1.0 / math.pi),
-            IntegralSpec.finite(0.0, 1.0),
+            IntegralSpec(0.0, 1.0),
             1e-13,
         )
         assert not res.converged
@@ -559,7 +574,7 @@ class TestDriverBehaviour:
     def test_error_estimates_shrink_past_level_3(self):
         res = quad.integrate_finite(
             lambda x, dlo, dhi: 1.0 / np.sqrt(dlo * dhi),
-            IntegralSpec.finite(0.0, 1.0, -0.5, -0.5),
+            IntegralSpec(0.0, 1.0, -0.5, -0.5),
             1e-12,
         )
         diffs = res.level_errors
@@ -571,7 +586,7 @@ class TestDriverBehaviour:
         with pytest.raises(quad.EvaluationError):
             quad.integrate_finite(
                 lambda x, dlo, dhi: np.full_like(x, np.nan),
-                IntegralSpec.finite(0.0, 1.0),
+                IntegralSpec(0.0, 1.0),
                 TOL,
             )
 
@@ -585,7 +600,7 @@ class TestDriverBehaviour:
 
     def test_converged_respects_tolerance_contract(self):
         res = quad.integrate_finite(
-            lambda x, dlo, dhi: np.exp(-x), IntegralSpec.finite(0.0, 3.0), 1e-9
+            lambda x, dlo, dhi: np.exp(-x), IntegralSpec(0.0, 3.0), 1e-9
         )
         assert res.converged
         assert res.error_estimate <= 1e-9 * max(1.0, abs(res.value))
@@ -596,9 +611,9 @@ class TestCallCounts:
 
     CASES = [
         # (engine, integrand, spec or None, level the sequence converges at)
-        (quad.integrate_finite, lambda x, dlo, dhi: x, IntegralSpec.finite(0.0, 1.0), 3),
-        (quad.integrate_finite, lambda x, dlo, dhi: np.exp(-x), IntegralSpec.finite(0.0, 3.0), 4),
-        (quad.integrate_finite, lambda x, dlo, dhi: np.cos(20.0 * x), IntegralSpec.finite(0.0, 1.0), 5),
+        (quad.integrate_finite, lambda x, dlo, dhi: x, IntegralSpec(0.0, 1.0), 3),
+        (quad.integrate_finite, lambda x, dlo, dhi: np.exp(-x), IntegralSpec(0.0, 3.0), 4),
+        (quad.integrate_finite, lambda x, dlo, dhi: np.cos(20.0 * x), IntegralSpec(0.0, 1.0), 5),
         (quad.integrate_half_line, lambda x, dlo, dhi: 1.0 / (1.0 + x * x),
          IntegralSpec.half_line_up(0.0), 3),
         (quad.integrate_half_line, lambda x, dlo, dhi: np.exp(x), IntegralSpec.half_line_down(0.0), 5),
@@ -742,13 +757,13 @@ def _ref_level_sum(transform, call, centre_w, scale=1.0):
 
 def reference_level_sum(f, spec):
     """level_sum(first, last) of f over a pole-free spec (None: the real line)."""
-    if spec is None or spec.kind == "real_line":
+    if spec is None or (math.isinf(spec.lo) and math.isinf(spec.hi)):
         def call(x, _):
             infs = np.full_like(x, math.inf)
             return _ref_call(f, x, infs, infs)
 
         return _ref_level_sum("sinh_sinh", call, 0.5 * math.pi)
-    if spec.kind == "finite":
+    if math.isfinite(spec.lo) and math.isfinite(spec.hi):
         lo, hi = spec.lo, spec.hi
         L = hi - lo
 
@@ -763,7 +778,7 @@ def reference_level_sum(f, spec):
             )
 
         return _ref_level_sum("tanh_sinh", call, (math.pi / 4.0) * L, L)
-    up = spec.kind == "half_line_up"
+    up = math.isfinite(spec.lo)
     anchor = spec.lo if up else spec.hi
 
     def call(d, _):
@@ -920,8 +935,7 @@ def _ref_rebased(f, lo, hi, sub_lo, sub_hi):
 
 def reference_pv(f, spec, tol=TOL, folds=None):
     poles = list(spec.poles)
-    lo = spec.lo if spec.lo is not None else -math.inf
-    hi = spec.hi if spec.hi is not None else math.inf
+    lo, hi = spec.lo, spec.hi
     windows = []
     for i, s in enumerate(poles):
         gaps = [g for g, ok in ((s - lo, math.isfinite(lo)), (hi - s, math.isfinite(hi))) if ok]
@@ -935,17 +949,13 @@ def reference_pv(f, spec, tol=TOL, folds=None):
         def folded(x, dlo, dhi, _fold=fold, _h=h):
             return _fold(np.maximum(dlo, quad._FOLD_CLAMP * _h))
 
-        found.append(reference_integrate(folded, IntegralSpec.finite(0.0, h), piece_tol))
+        found.append(reference_integrate(folded, IntegralSpec(0.0, h), piece_tol))
     cuts = [lo] + [c for s, h in zip(poles, windows) for c in (s - h, s + h)] + [hi]
     for k in range(0, len(cuts), 2):
         a, b = cuts[k], cuts[k + 1]
         if b <= a + 1e-14 * max(1.0, abs(a)):
             continue
-        kind = "half_line_down" if math.isinf(a) else "half_line_up" if math.isinf(b) else "finite"
-        sub = IntegralSpec(
-            kind, a if math.isfinite(a) else None, b if math.isfinite(b) else None,
-            spec.alpha_lo if a == lo else 0.0, spec.alpha_hi if b == hi else 0.0,
-        )
+        sub = IntegralSpec(a, b, spec.alpha_lo if a == lo else 0.0, spec.alpha_hi if b == hi else 0.0)
         found.append(reference_integrate(_ref_rebased(f, lo, hi, a, b), sub, piece_tol))
     total = err = 0.0
     evals = 0
@@ -1025,15 +1035,15 @@ class TestBatchedReference:
 
 class TestBatchedRows:
     """integrate_rows against the one-row engines, on cases the catalog
-    does not reach: PV without analytic folds on every domain kind,
+    does not reach: PV without analytic folds on every domain shape,
     leftover pieces that exist on some rows only, a row whose values are
     non-finite and a pole that no window fits."""
 
-    # per domain kind: a row's spec, and a weight that is integrable at the
+    # per domain shape: a row's spec, and a weight that is integrable at the
     # finite ends and decays at the infinite ones; the poles divide it
     PV_DOMAINS = {
         "finite": (
-            lambda mu, poles: IntegralSpec.finite(0.0, 3.0, alpha_lo=mu - 1.0, poles=poles),
+            lambda mu, poles: IntegralSpec(0.0, 3.0, alpha_lo=mu - 1.0, poles=poles),
             lambda x, dlo, dhi, mu: dlo ** (mu - 1.0),
         ),
         "half_line_up": (
@@ -1051,12 +1061,12 @@ class TestBatchedRows:
     }
 
     @pytest.mark.parametrize("npoles", [1, 2])
-    @pytest.mark.parametrize("kind", list(PV_DOMAINS))
-    def test_naive_folds_and_uneven_pieces(self, kind, npoles):
+    @pytest.mark.parametrize("shape", list(PV_DOMAINS))
+    def test_naive_folds_and_uneven_pieces(self, shape, npoles):
         # with two poles (mirrored on the lower half line), the piece between
         # the windows exists in rows 0 and 2 only, except on the real line
-        make_spec, weight = self.PV_DOMAINS[kind]
-        sign = -1.0 if kind == "half_line_down" else 1.0
+        make_spec, weight = self.PV_DOMAINS[shape]
+        sign = -1.0 if shape == "half_line_down" else 1.0
         rows = [dict(mu=mu, **{f"s{i}": sign * s for i, s in enumerate(poles[:npoles])})
                 for mu, poles in ((0.4, (0.5, 2.0)), (0.7, (1.0, 1.6)), (1.3, (0.3, 2.5)))]
         specs = [make_spec(p["mu"], [p[f"s{i}"] for i in range(npoles)]) for p in rows]
@@ -1084,8 +1094,8 @@ class TestBatchedRows:
         def make_f(r):
             return lambda x, dlo, dhi: 1.0 / (x - s[r])
 
-        specs = [IntegralSpec.finite(0.0, 1.0, poles=(v,)) for v in s[:, 0].tolist()]
-        found = quad.integrate_rows(make_f, IntegralSpec.finite(0.0, 1.0, poles=(s,)), 3, TOL)
+        specs = [IntegralSpec(0.0, 1.0, poles=(v,)) for v in s[:, 0].tolist()]
+        found = quad.integrate_rows(make_f, IntegralSpec(0.0, 1.0, poles=(s,)), 3, TOL)
         assert isinstance(found[1], quad.PoleWindowError)
         assert str(found[1]) == "no symmetric window fits around pole 5e-324"
         for i in (0, 2):
@@ -1120,8 +1130,8 @@ class TestBatchedRows:
         def make_f(r):
             return lambda x, dlo, dhi: np.where(b[r] == 1.5, np.nan, dlo ** (b[r] - 1.0))
 
-        specs = [IntegralSpec.finite(0.0, 1.0, v - 1.0, 0.0) for v in b[:, 0]]
-        found = quad.integrate_rows(make_f, IntegralSpec.finite(0.0, 1.0, b - 1.0, 0.0), 3, TOL)
+        specs = [IntegralSpec(0.0, 1.0, v - 1.0, 0.0) for v in b[:, 0]]
+        found = quad.integrate_rows(make_f, IntegralSpec(0.0, 1.0, b - 1.0, 0.0), 3, TOL)
         assert isinstance(found[1], quad.EvaluationError)
         for i in (0, 2):
             def alone(x, dlo, dhi, v=b[i, 0].item()):
@@ -1152,7 +1162,7 @@ class TestBatchedRows:
 
             return f
 
-        spec = IntegralSpec.finite(0.0, 1.0)
+        spec = IntegralSpec(0.0, 1.0)
         found = quad.integrate_rows(make_f, spec, 3, TOL)
         assert isinstance(found[1], quad.EvaluationError)
         with pytest.raises(quad.EvaluationError) as lone:
@@ -1169,7 +1179,7 @@ class TestBatchedRows:
         def fold(u):
             raise AssertionError("fold evaluated despite a bad fold count")
 
-        spec = IntegralSpec.finite(0.0, 3.0, poles=(0.5, 2.0))
+        spec = IntegralSpec(0.0, 3.0, poles=(0.5, 2.0))
         folds = (fold,) * nfolds
         with pytest.raises(ValueError, match="^folds must align with spec.poles$"):
             quad.integrate_rows(lambda r: _never_called, spec, 2, TOL, lambda r: folds)
@@ -1183,7 +1193,7 @@ class TestBatchedRows:
         def make_f(r):
             return lambda x, dlo, dhi: np.where(c[r] == 2.0, np.nan, c[r] / (x - 1.0))
 
-        spec = IntegralSpec.finite(0.0, 2.0, poles=(1.0,))
+        spec = IntegralSpec(0.0, 2.0, poles=(1.0,))
         found = quad.integrate_rows(make_f, spec, 3, TOL)
         assert isinstance(found[1], quad.EvaluationError)
         for i in (0, 2):
@@ -1208,7 +1218,7 @@ class TestBatchedRows:
             sv, pv, kv = s[i, 0].item(), p[i, 0].item(), k[i, 0].item()
             return lambda x, dlo, dhi: sv * dlo ** pv + kv * np.abs(x - 1.0 / math.pi)
 
-        spec = IntegralSpec.finite(0.0, 1.0)
+        spec = IntegralSpec(0.0, 1.0)
         found = quad.integrate_rows(make_f, spec, 4, TOL)
         assert [res.status for res in found] == ["converged", "diverging", "diverging", "max_level"]
         assert len(found[2].level_errors) < quad.MIN_LEVEL
@@ -1220,13 +1230,13 @@ class TestBatchedRows:
         # a number or a one-row column holds for every row, any other length fails
         hi = np.array([[1.0], [2.0], [3.0]])
         with rejects("a spec column of 3 rows does not fit 2 rows"):
-            quad.integrate_rows(lambda r: _never_called, IntegralSpec.finite(0.0, hi), 2)
+            quad.integrate_rows(lambda r: _never_called, IntegralSpec(0.0, hi), 2)
         with rejects("a spec column of 3 rows does not fit 1 rows"):
             quad.integrate(_never_called, IntegralSpec.real_line(poles=(hi,)))
         def flat(x, dlo, dhi):
             return np.ones_like(x)
 
-        one = IntegralSpec.finite(0.0, hi[:1])
+        one = IntegralSpec(0.0, hi[:1])
         found = quad.integrate_rows(lambda r: flat, one, 2, TOL)
         assert [bits(res) for res in found] == [bits(quad.integrate_finite(flat, one, TOL))] * 2
         assert quad.integrate_rows(lambda r: _never_called, one, 0) == []
@@ -1234,7 +1244,7 @@ class TestBatchedRows:
 
 # engine, spec, transform, reference coordinate of side a / side b, smooth base
 _ENGINES = {
-    "finite": (IntegralSpec.finite(0.0, 1.0), "tanh_sinh",
+    "finite": (IntegralSpec(0.0, 1.0), "tanh_sinh",
                lambda x, dlo, dhi: (dhi, dlo), lambda x: np.ones_like(x)),
     "half_line": (IntegralSpec.half_line_up(0.0), "exp_sinh",
                   lambda x, dlo, dhi: (dlo, dlo), lambda x: np.exp(-x)),
@@ -1310,7 +1320,7 @@ class TestInvariants:
         st.floats(min_value=-5.0, max_value=5.0),
     )
     def test_linearity(self, alpha, beta):
-        spec = IntegralSpec.finite(0.0, 1.0)
+        spec = IntegralSpec(0.0, 1.0)
 
         def f(x, dlo, dhi):
             return np.exp(-x)
@@ -1337,7 +1347,7 @@ class TestInvariants:
         # t = x/(1-x) maps the defining beta integral onto the half line
         finite = quad.integrate_finite(
             lambda x, dlo, dhi: dlo ** (a - 1.0) * dhi ** (b - 1.0),
-            IntegralSpec.finite(0.0, 1.0, a - 1.0, b - 1.0),
+            IntegralSpec(0.0, 1.0, a - 1.0, b - 1.0),
             TOL,
         )
         half = quad.integrate_half_line(
@@ -1351,15 +1361,15 @@ class TestInvariants:
 class TestOracle:
     def test_matches_de_on_finite_examples(self):
         cases = [
-            (lambda x, dlo, dhi: x, IntegralSpec.finite(0.0, 1.0), 0.5),
+            (lambda x, dlo, dhi: x, IntegralSpec(0.0, 1.0), 0.5),
             (
                 lambda x, dlo, dhi: 1.0 / np.sqrt(dlo * dhi),
-                IntegralSpec.finite(0.0, 1.0, -0.5, -0.5),
+                IntegralSpec(0.0, 1.0, -0.5, -0.5),
                 math.pi,
             ),
             (
                 lambda x, dlo, dhi: x * dhi * dhi,
-                IntegralSpec.finite(0.0, 1.0),
+                IntegralSpec(0.0, 1.0),
                 1.0 / 12.0,
             ),
         ]
@@ -1385,5 +1395,5 @@ class TestOracle:
         with pytest.raises(ValueError):
             oracle.oracle_integrate(
                 lambda x, dlo, dhi: 1.0 / (x - 1.0),
-                IntegralSpec.finite(0.0, 2.0, poles=(1.0,)),
+                IntegralSpec(0.0, 2.0, poles=(1.0,)),
             )

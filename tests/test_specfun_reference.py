@@ -7,6 +7,8 @@ every function with mpmath instead.  log_gamma and digamma have zeros
 there: |err| <= tol * max(1, |ref|).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,14 @@ def test_gamma_relative():
     ))
     err, x = worst(specfun.gamma, mpmath.gamma, xs, 0.0)
     assert err <= 1e-14, f"gamma rel err {err:.2e} at x={x}"
+
+
+@pytest.mark.parametrize("x", [-171.4, -171.5, -172.5, -175.25, -177.5, -180.5])
+def test_gamma_where_the_reflection_overflows(x):
+    # Gamma(1 - x) overflows; Gamma(x) is subnormal or rounds to a zero of the right sign
+    v, ref = specfun.gamma(x), mpmath.gamma(x)
+    assert abs(mpmath.mpf(v) - ref) <= max(1e-12 * abs(ref), mpmath.mpf(2) ** -1074)
+    assert math.copysign(1.0, v) == mpmath.sign(ref)
 
 
 def test_beta_relative():

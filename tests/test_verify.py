@@ -84,7 +84,7 @@ class TestVerifyEntry:
             make_integrand=lambda p: (
                 lambda x, dlo, dhi: np.abs(x - 1.0 / math.pi) ** 0.31
             ),
-            make_spec=lambda p: IntegralSpec.finite(0.0, 1.0),
+            make_spec=lambda p: IntegralSpec(0.0, 1.0),
             closed_form=lambda p: 1.0,
         )
         cfg = verify.RunConfig(seed=7, samples_per_entry=2)
@@ -169,7 +169,7 @@ class TestVerifyEntry:
         a0 = catalog.sample_params(rec, 7, 0)["a"]
 
         def make_spec(p):  # sample 0's lower exponent is a - 6 < -1
-            return IntegralSpec.finite(0.0, 1.0, p["a"] - 1.0 - 5.0 * (p["a"] == a0), p["b"] - 1.0)
+            return IntegralSpec(0.0, 1.0, p["a"] - 1.0 - 5.0 * (p["a"] == a0), p["b"] - 1.0)
 
         params = [catalog.sample_params(rec, 7, i) for i in range(3)]
         with pytest.raises(ValueError, match="must exceed -1"):
