@@ -60,10 +60,11 @@ def _cmd_show(entry_id):
     print(f"citation:        {rec.citation}")
     print("parameters:")
     # an integer is drawn from its closed range; a real from its open one,
-    # shrunk by the margin on each side
-    for prm, (_, integer, a, w, _, _) in zip(rec.domain.params, rec.domain.plan):
+    # shrunk by the margin on each side, and a real draw closer than that
+    # shrink to an excluded value is drawn again
+    for prm, (_, integer, a, w, shrink, exclude) in zip(rec.domain.params, rec.domain.plan):
         bounds = f"[{prm.lo:g}, {prm.hi:g}]" if integer else f"({prm.lo:g}, {prm.hi:g})"
-        carve = f", excluding {list(prm.exclude)}" if prm.exclude else ""
+        carve = "".join(f", excluding ({ex - shrink:g}, {ex + shrink:g})" for ex in exclude)
         print(f"  {prm.name:<6} {prm.kind:<8} range {bounds}, drawn in [{a:g}, {a + w:g}]{carve}")
     if rec.domain.relations:
         print("relations:")

@@ -13,15 +13,15 @@ reruns with identical flags are byte-identical regardless of wall clock.
 Entries run one after another in one thread; ``RunConfig.parallelism`` is
 validated but has no effect.
 
-``write_report`` is the streamed form of a report and the only text one:
-it writes each entry's lines before it verifies the next and keeps only
-running totals.  It times each entry's verification, and the text table
-prints that time; outcomes carry no timing.
+One entry loop yields a record per entry (a ``VerificationReport`` with
+``entries=1``, the entry's measured wall time), and every summary is their
+sum: ``verify_all`` keeps the outcomes, while ``write_report``, the streamed
+form of a report and the only text one, writes each entry's lines as its
+record arrives and keeps only the sum.  Outcomes carry no timing.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import random
@@ -118,6 +118,14 @@ class VerificationOutcome:
 
 @dataclass
 class VerificationReport:
+    """A run's record, or one entry's.  Fields: outcomes, in (entry_id,
+    sample_index) order, [] where a writer keeps none; entries, the number
+    verified; passes and failures, the outcomes whose status is "pass" and
+    the rest, so a record counts ``passes + failures`` outcomes;
+    worst_rel_err, the largest finite rel_err, 0.0 if none; wall_ms, the
+    measured wall time.  An entry's record has ``entries=1`` and the time
+    of its samples; a run's record is the sum of its entries' records."""
+
     outcomes: list[VerificationOutcome]
     entries: int
     passes: int
@@ -227,36 +235,40 @@ def _outcome(rec, index, names, params, closed, result, cfg):
     )
 
 
-def _selected_entries(cfg):
-    if cfg.entry_filter is None:
-        return sorted(catalog.all_entries(), key=lambda r: r.id)
-    return [catalog.entry(eid) for eid in sorted(set(cfg.entry_filter))]
+def _entry_reports(cfg):
+    """One record per selected entry, in sorted-id order: its outcomes in
+    sample-index order, tallied once, and the wall time of its samples."""
+    for rec in sorted(catalog.all_entries(), key=lambda r: r.id):
+        if cfg.entry_filter is not None and rec.id not in cfg.entry_filter:
+            continue
+        start = time.perf_counter()
+        outcomes = _verify_rows(rec, cfg)
+        ms = 1e3 * (time.perf_counter() - start)
+        passes = sum(o.status == "pass" for o in outcomes)
+        worst = max((e for e in (o.rel_err for o in outcomes) if math.isfinite(e)), default=0.0)
+        yield VerificationReport(outcomes, 1, passes, len(outcomes) - passes, worst, ms)
 
 
-def _tally(outcomes):
-    """(passes, worst finite rel_err or 0.0) of outcomes."""
-    passes, worst = 0, 0.0
-    for o in outcomes:
-        passes += o.status == "pass"
-        rel_err = o.rel_err  # a property: read it once
-        if math.isfinite(rel_err):
-            worst = max(worst, rel_err)
-    return passes, worst
+def _add(total, part):
+    """Add the record ``part`` to ``total``, all but its outcomes."""
+    total.entries += part.entries
+    total.passes += part.passes
+    total.failures += part.failures
+    total.worst_rel_err = max(total.worst_rel_err, part.worst_rel_err)
+    total.wall_ms += part.wall_ms
 
 
 def verify_all(cfg: RunConfig) -> VerificationReport:
     """Verify the (filtered) roster; deterministic for a fixed config.
 
-    The report holds every outcome of the run; ``write_report`` streams
-    the same outcomes instead.
+    The report is the sum of the entries' records and holds every outcome
+    of the run; ``write_report`` streams the same outcomes instead.
     """
-    start = time.perf_counter()
-    entries = _selected_entries(cfg)
-    # entries in sorted-id order, each in sample-index order
-    results = [o for rec in entries for o in _verify_rows(rec, cfg)]
-    passes, worst = _tally(results)
-    wall_ms = 1e3 * (time.perf_counter() - start)
-    return VerificationReport(results, len(entries), passes, len(results) - passes, worst, wall_ms)
+    report = VerificationReport([], 0, 0, 0, 0.0, 0.0)
+    for part in _entry_reports(cfg):
+        _add(report, part)
+        report.outcomes += part.outcomes
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -373,35 +385,26 @@ def _fake_parameter(cfg, entry_id, fake_name):
 
 def write_report(cfg: RunConfig, fh, fmt: str = "json") -> str:
     """Write the report of ``verify_all(cfg)`` to ``fh``, entry by entry,
-    keeping only running totals; returns the verdict.  Fmt "json" writes
-    what ``report_to_jsonl`` returns; fmt "text" writes a fixed-width table
-    of one row per entry, with the entry's measured wall time, and the
-    summary.  The consistency suite runs only on the unfiltered roster."""
+    keeping only the sum of the entries' records; returns the verdict.
+    Fmt "json" writes what ``report_to_jsonl`` returns; fmt "text" writes a
+    fixed-width table of one row per entry, with the entry's measured wall
+    time, and the summary.  The consistency suite runs only on the
+    unfiltered roster."""
     if fmt not in ("json", "text"):
         raise ValueError(f"unknown report format {fmt!r}")
     if fmt == "text":
         fh.write(_TEXT_HEADER)
-    entries = _selected_entries(cfg)
-    outcomes = passes = 0
-    worst = wall_ms = 0.0
-    for rec in entries:
-        start = time.perf_counter()
-        rows = _verify_rows(rec, cfg)
-        ms = 1e3 * (time.perf_counter() - start)
-        fh.writelines(_outcome_lines(rows, fmt, ms))
-        entry_passes, entry_worst = _tally(rows)
-        outcomes += len(rows)
-        passes += entry_passes
-        worst = max(worst, entry_worst)
-        wall_ms += ms
+    total = VerificationReport([], 0, 0, 0, 0.0, 0.0)
+    for part in _entry_reports(cfg):
+        fh.writelines(_json_lines(part.outcomes) if fmt == "json" else (_text_row(part),))
+        _add(total, part)
     consistency = cross_check_consistency(cfg) if cfg.entry_filter is None else None
-    totals = _totals(len(entries), outcomes, passes, outcomes - passes, worst, wall_ms)
-    fh.writelines(_summary_lines(fmt, totals, consistency))
-    return _verdict(outcomes - passes, consistency)
+    fh.writelines(_summary_lines(fmt, total, consistency))
+    return _verdict(total, consistency)
 
 
-def _verdict(failures, consistency):
-    failed = failures or (consistency is not None and consistency.verdict == "fail")
+def _verdict(report, consistency):
+    failed = report.failures or (consistency is not None and consistency.verdict == "fail")
     return "fail" if failed else "pass"
 
 
@@ -411,13 +414,7 @@ def report_to_jsonl(report: VerificationReport, consistency: ConsistencyReport |
     fields are zeroed so identical configurations yield byte-identical
     reports.
     """
-    totals = _totals(
-        report.entries, len(report.outcomes), report.passes, report.failures,
-        report.worst_rel_err, report.wall_ms,
-    )
-    return "".join(itertools.chain(
-        _outcome_lines(report.outcomes, "json"), _summary_lines("json", totals, consistency),
-    ))
+    return "".join([*_json_lines(report.outcomes), *_summary_lines("json", report, consistency)])
 
 
 _TEXT_HEADER = (
@@ -425,61 +422,60 @@ _TEXT_HEADER = (
 )
 
 
-def _outcome_lines(outcomes, fmt, ms=0.0):
-    """Report lines of one entry's outcomes: with fmt "json" one object per
-    outcome, timing zeroed; with "text" the entry's row of the table, whose
-    ms column is ``ms``, the entry's wall time."""
-    if fmt == "json":
-        import json
+def _json_lines(outcomes):
+    """One JSON object per outcome, timing zeroed."""
+    import json
 
-        for o in outcomes:
-            yield json.dumps(
-                {
-                    "entry_id": o.entry_id,
-                    "sample_index": o.sample_index,
-                    "params": o.params,
-                    "numeric": o.numeric,
-                    "closed": o.closed,
-                    "abs_err": o.abs_err,
-                    "rel_err": o.rel_err,
-                    "evaluations": o.evaluations,
-                    "status": o.status,
-                    "elapsed": 0.0,
-                }
-            ) + "\n"
-        return
-    passes, worst = _tally(outcomes)
+    for o in outcomes:
+        yield json.dumps(
+            {
+                "entry_id": o.entry_id,
+                "sample_index": o.sample_index,
+                "params": o.params,
+                "numeric": o.numeric,
+                "closed": o.closed,
+                "abs_err": o.abs_err,
+                "rel_err": o.rel_err,
+                "evaluations": o.evaluations,
+                "status": o.status,
+                "elapsed": 0.0,
+            }
+        ) + "\n"
+
+
+def _text_row(entry):
+    """The text table's row of one entry's record, whose ms column is the
+    entry's measured wall time."""
+    outcomes = entry.outcomes
     # the last outcome that did not pass names the entry's status
     status = next((o.status for o in reversed(outcomes) if o.status != "pass"), "ok")
     status = "FAIL" if status == "fail" else status
     eid = outcomes[0].entry_id
-    yield (
-        f"{eid:<16} {catalog.entry(eid).tolerance_class:<16} {len(outcomes):>7d} {passes:>7d} "
-        f"{worst:>12.3e} {ms:>9.1f}  {status}\n"
+    return (
+        f"{eid:<16} {catalog.entry(eid).tolerance_class:<16} {len(outcomes):>7d} {entry.passes:>7d} "
+        f"{entry.worst_rel_err:>12.3e} {entry.wall_ms:>9.1f}  {status}\n"
     )
 
 
-def _totals(entries, outcomes, passes, failures, worst_rel_err, wall_ms):
-    """The summary's counts, keyed in summary order."""
-    return {
-        "entries": entries,
-        "outcomes": outcomes,
-        "passes": passes,
-        "failures": failures,
-        "worst_rel_err": worst_rel_err,
-        "wall_ms": wall_ms,
-    }
-
-
-def _summary_lines(fmt, totals, consistency):
+def _summary_lines(fmt, report, consistency):
     """The lines after the last outcome: the JSON summary object (wall_ms
-    zeroed), or the text form's consistency checks and summary line.
-    ``totals`` holds the summary's counts as ``_totals`` keys them."""
-    verdict = _verdict(totals["failures"], consistency)
+    zeroed), or the text form's consistency checks and summary line, both
+    from the record ``report``, which counts ``passes + failures``
+    outcomes."""
+    verdict = _verdict(report, consistency)
+    outcomes = report.passes + report.failures
     if fmt == "json":
         import json
 
-        yield json.dumps({**totals, "wall_ms": 0.0, "verdict": verdict}) + "\n"
+        yield json.dumps({
+            "entries": report.entries,
+            "outcomes": outcomes,
+            "passes": report.passes,
+            "failures": report.failures,
+            "worst_rel_err": report.worst_rel_err,
+            "wall_ms": 0.0,
+            "verdict": verdict,
+        }) + "\n"
         return
     if consistency is not None:
         yield "\nconsistency checks:\n"
@@ -487,8 +483,8 @@ def _summary_lines(fmt, totals, consistency):
             mark = "pass" if c.passed else "FAIL"
             yield f"  {c.name:<28} {mark}  worst={c.worst:.3e}  ({c.detail})\n"
     yield (
-        f"\nsummary: entries={totals['entries']} outcomes={totals['outcomes']} "
-        f"passes={totals['passes']} failures={totals['failures']} "
-        f"worst_rel_err={totals['worst_rel_err']:.3e} wall_ms={totals['wall_ms']:.1f} "
+        f"\nsummary: entries={report.entries} outcomes={outcomes} "
+        f"passes={report.passes} failures={report.failures} "
+        f"worst_rel_err={report.worst_rel_err:.3e} wall_ms={report.wall_ms:.1f} "
         f"verdict={verdict}\n"
     )

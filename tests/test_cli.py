@@ -46,6 +46,9 @@ class TestShow:
         ("3.226.1", "  n      integer  range [0, 6], drawn in [0, 6]\n"),
         # p = 1 is a pole of the closed form; the 5% margin keeps draws off both ends
         ("3.192.1", "  p      real     range (0, 1), drawn in [0.05, 0.95]\n"),
+        # the closed form is 0/0 at a = 1; a draw within 0.1 (the margin) of it is redrawn
+        ("3.194.6",
+         "  a      real     range (0, 2), drawn in [0.1, 1.9], excluding (0.9, 1.1)\n"),
     ])
     def test_range_says_what_is_drawn(self, capsys, entry_id, line):
         assert run(["show", entry_id]) == 0

@@ -125,6 +125,13 @@ class TestBeta:
     def test_symmetry_bit_for_bit(self, a, b):
         assert sf.beta(a, b) == sf.beta(b, a)
 
+    def test_non_finite_rejected(self):
+        # the large-argument path must not turn an infinite b into a number
+        for a, b in ((1.0, math.inf), (math.inf, 1.0), (math.nan, 5e3), (0.5, math.nan)):
+            for fn in (sf.beta, sf.log_beta):
+                with pytest.raises(ValueError):
+                    fn(a, b)
+
     def test_pole_raises(self):
         with pytest.raises(ValueError):
             sf.beta(0.0, 1.0)

@@ -8,6 +8,7 @@ there: |err| <= tol * max(1, |ref|).
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +65,19 @@ def test_beta_relative():
     pairs += [(a, b) for a in TINY[::10] for b in (0.05, 0.5, 2.5, 40.0)]
     err, pair = worst(lambda p: specfun.beta(*p), lambda p: mpmath.beta(*p), pairs, 0.0)
     assert err <= 1e-13, f"beta rel err {err:.2e} at (a, b)={pair}"
+
+
+def test_beta_where_one_argument_is_large():
+    # log_gamma(b) - log_gamma(a + b) would cancel; past b = 1e15 log_gamma raises
+    pairs = [(a, float(b)) for a in (0.05, 0.5, 1.0, 2.5, 7.3, -0.5, -2.7)
+             for b in np.geomspace(1e3, 1e18, 61)]
+    for a, b in pairs:
+        v, ref = specfun.beta(a, b), mpmath.beta(a, b)
+        if not sys.float_info.min <= abs(ref) <= sys.float_info.max:
+            continue
+        err = float(abs(mpmath.mpf(v) - ref) / abs(ref))
+        assert err <= 1e-13, f"beta rel err {err:.2e} at (a, b)={(a, b)}"
+        assert math.copysign(1.0, v) == mpmath.sign(ref)
 
 
 def test_log_gamma_with_floor_at_zeros():

@@ -593,6 +593,43 @@ class TestSerialization:
         assert [row.split()[5] for row in rows] == ["250.0", "250.0"]
         assert " wall_ms=500.0 " in buf.getvalue().splitlines()[-1]
 
+    def test_text_rows_and_summary_match_verify_all(self, monkeypatch):
+        # passes, fails forced by a tolerance few samples meet, and a
+        # sample_error from a closed form that raises for one sample of 3.217
+        bad = catalog.sample_params(catalog.entry("3.217"), 7, 1)
+        closed_form_value = catalog.closed_form_value
+
+        def closed(rec, params):
+            if rec.id == "3.217" and params == bad:
+                raise ValueError("closed form unavailable")
+            return closed_form_value(rec, params)
+
+        monkeypatch.setattr(catalog, "closed_form_value", closed)
+        cfg = verify.RunConfig(seed=7, samples_per_entry=4, rtol_override=1e-16, atol=1e-16,
+                               entry_filter=("3.248.3", "3.217", "3.191.3"))
+        report = verify.verify_all(cfg)
+        assert {o.status for o in report.outcomes} == {"pass", "fail", "sample_error"}
+        buf = io.StringIO()
+        assert verify.write_report(cfg, buf, "text") == "fail"
+        lines = buf.getvalue().splitlines()
+        # rows in sorted-id order, then a blank line and the summary
+        assert len(lines) == 1 + 3 + 2
+        for row, eid in zip(lines[1:4], ["3.191.3", "3.217", "3.248.3"]):
+            mine = [o for o in report.outcomes if o.entry_id == eid]
+            passes = sum(o.status == "pass" for o in mine)
+            worst = max((o.rel_err for o in mine if math.isfinite(o.rel_err)), default=0.0)
+            cells = row.split()
+            assert cells[0] == eid and cells[2:5] == [str(len(mine)), str(passes), f"{worst:.3e}"]
+        passes = sum(o.status == "pass" for o in report.outcomes)
+        worst = max(o.rel_err for o in report.outcomes if math.isfinite(o.rel_err))
+        assert (report.entries, report.passes, report.failures, report.worst_rel_err) == (
+            3, passes, len(report.outcomes) - passes, worst
+        )
+        assert lines[-1].startswith(
+            f"summary: entries=3 outcomes={len(report.outcomes)} passes={passes} "
+            f"failures={report.failures} worst_rel_err={worst:.3e} wall_ms="
+        )
+
     def test_consistency_failure_flips_verdict(self, monkeypatch):
         cfg = verify.RunConfig(seed=7, samples_per_entry=1, entry_filter=("3.191.3",))
         report = verify.verify_all(cfg)
