@@ -1,7 +1,12 @@
 """Catalog record types and numerics helpers shared by the entry tables.
 
-The helpers exist so entry integrands stay exact near the places that
-matter: ``one_minus_pow`` keeps ``1 - x**q`` alive next to x = 1,
+An entry's domain is written ``domain(real(...), integer(...),
+rels=(Relation(text, holds), ...))``, at the default 5% margin, and its
+spec ``IntegralSpec(lo, hi, alpha_lo, alpha_hi, poles)``, with
+``math.inf`` for an infinite end.
+
+The numerics helpers exist so entry integrands stay exact near the places
+that matter: ``one_minus_pow`` keeps ``1 - x**q`` alive next to x = 1,
 ``softplus``/``logaddexp`` keep exponential and power denominators from
 overflowing, and the ``fold_*`` builders produce analytically folded
 window integrands f(s+u) + f(s-u) for the principal-value entries (the
@@ -114,12 +119,8 @@ def integer(name, lo, hi):
     return Param(name, "integer", float(lo), float(hi))
 
 
-def rel(text, holds):
-    return Relation(text, holds)
-
-
-def domain(*params, rels=(), margin=0.05):
-    return ParamDomain(tuple(params), tuple(rels), margin)
+def domain(*params, rels=()):
+    return ParamDomain(tuple(params), tuple(rels))
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from ..quad import IntegralSpec
 from .core import (
     SQRT_PI,
     IdentityRecord,
+    Relation,
     domain,
     integer,
     log_unit,
@@ -19,7 +20,6 @@ from .core import (
     per_row,
     power,
     real,
-    rel,
     softplus,
 )
 
@@ -90,14 +90,14 @@ GROUP_E = [
             real("u", 0.0, 3.0),
             real("v", 0.0, 3.0),
             rels=(
-                rel("a*c > 0.1", lambda q: q["a"] * q["c"] > 0.1),
-                rel("b*c > 0.1", lambda q: q["b"] * q["c"] > 0.1),
+                Relation("a*c > 0.1", lambda q: q["a"] * q["c"] > 0.1),
+                Relation("b*c > 0.1", lambda q: q["b"] * q["c"] > 0.1),
             ),
         ),
         make_integrand=lambda p: _power_denominator(
             p["a"] * p["c"], p["a"] + p["b"], _ln(p["v"]), _ln(p["u"]), p["c"]
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["a"] * p["c"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["a"] * p["c"] - 1.0),
         closed_form=lambda p: sf.beta(p["a"], p["b"])
         / (p["c"] * p["u"] ** p["a"] * p["v"] ** p["b"]),
     ),
@@ -111,7 +111,7 @@ GROUP_E = [
                 (p["a"] - 1.0) * np.log(dlo) - 2.0 * np.log1p(p["u"] * x)
             )
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["a"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["a"] - 1.0),
         closed_form=lambda p: (1.0 - p["a"])
         * math.pi
         / (p["u"] ** p["a"] * math.sin(math.pi * p["a"])),
@@ -124,8 +124,8 @@ GROUP_E = [
             real("p", 0.1, 5.0),
             real("q", 0.3, 3.0),
             rels=(
-                rel("p < 2q - 0.2", lambda r: r["p"] < 2.0 * r["q"] - 0.2),
-                rel("|p - q| > 0.15", lambda r: abs(r["p"] - r["q"]) > 0.15),
+                Relation("p < 2q - 0.2", lambda r: r["p"] < 2.0 * r["q"] - 0.2),
+                Relation("|p - q| > 0.15", lambda r: abs(r["p"] - r["q"]) > 0.15),
             ),
         ),
         make_integrand=lambda p: (
@@ -133,7 +133,7 @@ GROUP_E = [
                 (p["p"] - 1.0) * np.log(dlo) - 2.0 * softplus(p["q"] * np.log(dlo))
             )
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["p"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["p"] - 1.0),
         closed_form=lambda p: (p["q"] - p["p"])
         * math.pi
         / (p["q"] ** 2 * math.sin(math.pi * p["p"] / p["q"])),
@@ -147,12 +147,12 @@ GROUP_E = [
             integer("n", 1, 5),
             real("u", 0.0, 3.0),
             real("v", 0.0, 3.0),
-            rels=(rel("n > m", lambda q: q["n"] > q["m"]),),
+            rels=(Relation("n > m", lambda q: q["n"] > q["m"]),),
         ),
         make_integrand=lambda p: _power_denominator(
             p["m"] + 1.0, p["n"] + 0.5, _ln(p["v"]), _ln(p["u"]), 1.0
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["m"]),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["m"]),
         closed_form=_closed_3194_7,
     ),
     IdentityRecord(
@@ -162,14 +162,14 @@ GROUP_E = [
         domain=domain(
             real("p", 0.1, 1.6),
             real("c", 0.5, 4.0),
-            rels=(rel("c/2 - p > 0.15", lambda q: 0.5 * q["c"] - q["p"] > 0.15),),
+            rels=(Relation("c/2 - p > 0.15", lambda q: 0.5 * q["c"] - q["p"] > 0.15),),
         ),
         make_integrand=lambda p: (
             lambda x, dlo, dhi: np.exp(
                 (p["p"] - 1.0) * np.log(dlo) - 0.5 * softplus(p["c"] * np.log(dlo))
             )
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["p"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["p"] - 1.0),
         closed_form=lambda p: sf.beta(p["p"] / p["c"], 0.5 - p["p"] / p["c"]) / p["c"],
     ),
     IdentityRecord(
@@ -180,7 +180,7 @@ GROUP_E = [
         make_integrand=lambda p: _power_denominator(
             1.0, p["n"], 2.0 * _ln(p["v"]), 0.0, 2.0
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf),
         closed_form=lambda p: SQRT_PI
         * sf.gamma(p["n"] - 0.5)
         / (2.0 * sf.gamma(p["n"]) * p["v"] ** (2.0 * p["n"] - 1.0)),
@@ -193,7 +193,7 @@ GROUP_E = [
         make_integrand=lambda p: _power_denominator(
             1.0, 0.5 * p["n"], 0.0, _ln(p["u"]), 2.0
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf),
         closed_form=lambda p: SQRT_PI
         * sf.gamma(0.5 * (p["n"] - 1.0))
         / (2.0 * math.sqrt(p["u"]) * sf.gamma(0.5 * p["n"])),
@@ -206,7 +206,7 @@ GROUP_E = [
             real("mu", 0.0, 2.0),
             real("nu", -2.0, 1.0),
             rels=(
-                rel(
+                Relation(
                     "1 - nu - mu/2 > 0.1",
                     lambda q: 1.0 - q["nu"] - 0.5 * q["mu"] > 0.1,
                 ),
@@ -215,7 +215,7 @@ GROUP_E = [
         make_integrand=lambda p: _power_denominator(
             p["mu"], 1.0 - p["nu"], 0.0, 0.0, 2.0
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["mu"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["mu"] - 1.0),
         closed_form=lambda p: 0.5 * sf.beta(0.5 * p["mu"], 1.0 - p["nu"] - 0.5 * p["mu"]),
     ),
     IdentityRecord(
@@ -227,12 +227,12 @@ GROUP_E = [
             integer("n", 1, 5),
             real("u", 0.0, 3.0),
             real("v", 0.0, 3.0),
-            rels=(rel("n > m", lambda q: q["n"] > q["m"]),),
+            rels=(Relation("n > m", lambda q: q["n"] > q["m"]),),
         ),
         make_integrand=lambda p: _power_denominator(
             2.0 * p["m"] + 1.0, p["n"] + 1.0, _ln(p["v"]), _ln(p["u"]), 2.0
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=2.0 * p["m"]),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, 2.0 * p["m"]),
         closed_form=_closed_3251_4,
     ),
     IdentityRecord(
@@ -244,12 +244,12 @@ GROUP_E = [
             integer("n", 1, 5),
             real("u", 0.0, 3.0),
             real("v", 0.0, 3.0),
-            rels=(rel("n > m", lambda q: q["n"] > q["m"]),),
+            rels=(Relation("n > m", lambda q: q["n"] > q["m"]),),
         ),
         make_integrand=lambda p: _power_denominator(
             2.0 * p["m"] + 2.0, p["n"] + 1.0, _ln(p["v"]), _ln(p["u"]), 2.0
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=2.0 * p["m"] + 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, 2.0 * p["m"] + 1.0),
         closed_form=lambda p: math.factorial(p["m"])
         * math.factorial(p["n"] - p["m"] - 1)
         / (
@@ -267,7 +267,7 @@ GROUP_E = [
             real("a", 0.0, 3.0),
             real("b", 0.0, 3.0),
             real("q", 0.3, 3.0),
-            rels=(rel("a*q > 0.1", lambda r: r["a"] * r["q"] > 0.1),),
+            rels=(Relation("a*q > 0.1", lambda r: r["a"] * r["q"] > 0.1),),
         ),
         make_integrand=lambda p: (
             lambda x, dlo, dhi: np.exp(
@@ -287,7 +287,7 @@ GROUP_E = [
         domain=domain(
             real("p", 0.05, 2.0),
             real("q", 0.3, 3.0),
-            rels=(rel("p < 0.85 q", lambda r: r["p"] < 0.85 * r["q"]),),
+            rels=(Relation("p < 0.85 q", lambda r: r["p"] < 0.85 * r["q"]),),
         ),
         make_integrand=lambda p: (
             lambda x, dlo, dhi: np.exp(
@@ -310,7 +310,7 @@ GROUP_E = [
         domain=domain(
             real("p", 1.2, 5.0),
             real("q", 0.3, 3.0),
-            rels=(rel("q > 0.15 p", lambda r: r["q"] > 0.15 * r["p"]),),
+            rels=(Relation("q > 0.15 p", lambda r: r["q"] > 0.15 * r["p"]),),
         ),
         make_integrand=lambda p: (
             lambda x, dlo, dhi: np.exp(
@@ -331,7 +331,7 @@ GROUP_E = [
         domain=domain(
             real("p", 0.05, 2.0),
             real("q", 0.3, 3.0),
-            rels=(rel("p < 0.85 q", lambda r: r["p"] < 0.85 * r["q"]),),
+            rels=(Relation("p < 0.85 q", lambda r: r["p"] < 0.85 * r["q"]),),
         ),
         make_integrand=lambda p: (
             lambda x, dlo, dhi: np.exp(
@@ -353,12 +353,12 @@ GROUP_E = [
             real("c", 0.3, 3.0),
             real("u", 0.0, 3.0),
             real("nu", 0.3, 3.0),
-            rels=(rel("c nu - r > 0.2", lambda q: q["c"] * q["nu"] - q["r"] > 0.2),),
+            rels=(Relation("c nu - r > 0.2", lambda q: q["c"] * q["nu"] - q["r"] > 0.2),),
         ),
         make_integrand=lambda p: _power_denominator(
             p["r"], p["nu"], 0.0, _ln(p["u"]), p["c"]
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["r"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["r"] - 1.0),
         closed_form=lambda p: sf.beta(p["r"] / p["c"], p["nu"] - p["r"] / p["c"])
         / (p["c"] * p["u"] ** (p["r"] / p["c"])),
     ),
@@ -371,7 +371,7 @@ GROUP_E = [
             real("c", 0.0, 3.0),
             integer("m", 0, 4),
             rels=(
-                rel(
+                Relation(
                     "c + (1-m)/q > 0.1",
                     lambda r: r["c"] + (1.0 - r["m"]) / r["q"] > 0.1,
                 ),

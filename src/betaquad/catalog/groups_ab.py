@@ -12,13 +12,13 @@ from ..quad import IntegralSpec
 from .core import (
     SQRT_PI,
     IdentityRecord,
+    Relation,
     domain,
     integer,
     log_unit,
     one_minus_pow,
     power,
     real,
-    rel,
 )
 
 
@@ -76,7 +76,7 @@ GROUP_A = [
         make_integrand=lambda p: (
             lambda x, dlo, dhi: np.exp((p["p"] - 0.5) * np.log(dlo) - np.log(x))
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(1.0, alpha_lo=p["p"] - 0.5),
+        make_spec=lambda p: IntegralSpec(1.0, math.inf, p["p"] - 0.5),
         closed_form=lambda p: math.pi / math.cos(p["p"] * math.pi),
     ),
     IdentityRecord(
@@ -140,7 +140,7 @@ GROUP_B = [
             real("v", -1.0, 3.0),
             real("a", 0.0, 3.0),
             real("b", 0.0, 3.0),
-            rels=(rel("v - u > 0.3", lambda q: q["v"] - q["u"] > 0.3),),
+            rels=(Relation("v - u > 0.3", lambda q: q["v"] - q["u"] > 0.3),),
         ),
         make_integrand=lambda p: _beta_kernel(p["a"], p["b"]),
         make_spec=lambda p: IntegralSpec(p["u"], p["v"], p["a"] - 1.0, p["b"] - 1.0),
@@ -229,7 +229,7 @@ GROUP_B = [
                 (p["b"] - 1.0) * np.log(dlo) - (p["a"] + p["b"]) * np.log1p(dlo)
             )
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(1.0, alpha_lo=p["b"] - 1.0),
+        make_spec=lambda p: IntegralSpec(1.0, math.inf, p["b"] - 1.0),
         closed_form=lambda p: sf.beta(p["a"], p["b"]),
     ),
     IdentityRecord(
@@ -241,14 +241,14 @@ GROUP_B = [
             real("nu", 0.0, 1.0),
             real("mu", -1.0, 2.0),
             rels=(
-                rel(
+                Relation(
                     "p(1-nu) - mu > 0.2",
                     lambda q: q["p"] * (1.0 - q["nu"]) - q["mu"] > 0.2,
                 ),
             ),
         ),
         make_integrand=_integrand_3251_3,
-        make_spec=lambda p: IntegralSpec.half_line_up(1.0, alpha_lo=p["nu"] - 1.0),
+        make_spec=lambda p: IntegralSpec(1.0, math.inf, p["nu"] - 1.0),
         closed_form=lambda p: sf.beta(1.0 - p["nu"] - p["mu"] / p["p"], p["nu"]) / p["p"],
     ),
 ]

@@ -12,6 +12,7 @@ from .. import specfun as sf
 from ..quad import IntegralSpec
 from .core import (
     IdentityRecord,
+    Relation,
     cot,
     domain,
     fold_exp_kernel,
@@ -21,7 +22,6 @@ from .core import (
     per_row,
     power,
     real,
-    rel,
     softplus,
 )
 
@@ -98,7 +98,7 @@ GROUP_C = [
         citation="beta half-line form: int_0^inf t^(a-1)(1+t)^-(a+b) dt = B(a,b)",
         domain=domain(real("a", 0.0, 3.0), real("b", 0.0, 3.0)),
         make_integrand=lambda p: _halfline_beta(p["a"], p["a"] + p["b"]),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["a"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["a"] - 1.0),
         closed_form=lambda p: sf.beta(p["a"], p["b"]),
     ),
     IdentityRecord(
@@ -111,7 +111,7 @@ GROUP_C = [
                 (p["a"] - 1.0) * np.log(dlo) - (p["a"] + p["b"]) * np.log1p(p["c"] * x)
             )
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["a"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["a"] - 1.0),
         closed_form=lambda p: p["c"] ** -p["a"] * sf.beta(p["a"], p["b"]),
     ),
     IdentityRecord(
@@ -120,7 +120,7 @@ GROUP_C = [
         citation="Euler form: int_0^inf t^(a-1)/(1+t) dt = pi/sin(pi a)",
         domain=domain(real("a", 0.0, 1.0)),
         make_integrand=lambda p: _halfline_beta(p["a"], 1.0),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["a"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["a"] - 1.0),
         closed_form=lambda p: math.pi / math.sin(math.pi * p["a"]),
     ),
     IdentityRecord(
@@ -131,7 +131,7 @@ GROUP_C = [
         make_integrand=lambda p: (
             lambda x, dlo, dhi: power(dlo, p["a"] - 1.0) / (x + p["c"])
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["a"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["a"] - 1.0),
         closed_form=lambda p: math.pi * p["c"] ** (p["a"] - 1.0) / math.sin(math.pi * p["a"]),
     ),
     IdentityRecord(
@@ -142,8 +142,8 @@ GROUP_C = [
         make_integrand=lambda p: (
             lambda x, dlo, dhi: power(dlo, p["a"] - 1.0) / (x + p["c"])
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(
-            0.0, alpha_lo=p["a"] - 1.0, poles=(-p["c"],)
+        make_spec=lambda p: IntegralSpec(
+            0.0, math.inf, p["a"] - 1.0, poles=(-p["c"],)
         ),
         make_folds=lambda p: (fold_power_shifted(p["a"], -p["c"]),),
         closed_form=lambda p: -math.pi
@@ -157,7 +157,7 @@ GROUP_C = [
         citation="exponential PV form: int_R e^(-mu t)/(e^(-t)+c) dt = -pi cot(mu pi)(-c)^(mu-1), c<0",
         domain=domain(real("mu", 0.0, 1.0), real("c", -3.0, -0.2)),
         make_integrand=lambda p: _integrand_exp_pole(p["mu"], p["c"]),
-        make_spec=lambda p: IntegralSpec.real_line(poles=(per_row(lambda c: -math.log(-c), p["c"]),)),
+        make_spec=lambda p: IntegralSpec(-math.inf, math.inf, poles=(per_row(lambda c: -math.log(-c), p["c"]),)),
         make_folds=lambda p: (fold_exp_kernel(p["mu"], p["c"]),),
         closed_form=lambda p: -math.pi
         * cot(p["mu"] * math.pi)
@@ -170,7 +170,7 @@ GROUP_C = [
         citation="GR 3.313.1: int_R e^(-mu t)/(1-e^(-t)) dt = pi cot(mu pi)",
         domain=domain(real("mu", 0.0, 1.0)),
         make_integrand=_integrand_3313_1,
-        make_spec=lambda p: IntegralSpec.real_line(poles=(0.0,)),
+        make_spec=lambda p: IntegralSpec(-math.inf, math.inf, poles=(0.0,)),
         make_folds=_folds_3313_1,
         closed_form=lambda p: math.pi * cot(p["mu"] * math.pi),
         tolerance_class="principal_value",
@@ -183,7 +183,7 @@ GROUP_C = [
             real("mu", 0.0, 2.0, exclude=(1.0,)),
             real("a", 0.0, 2.4),
             real("b", 0.6, 3.0),
-            rels=(rel("|a - b| > 0.2", lambda q: abs(q["a"] - q["b"]) > 0.2),),
+            rels=(Relation("|a - b| > 0.2", lambda q: abs(q["a"] - q["b"]) > 0.2),),
         ),
         make_integrand=lambda p: (
             lambda x, dlo, dhi: np.exp(
@@ -192,7 +192,7 @@ GROUP_C = [
                 - np.log(x + p["b"])
             )
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["mu"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["mu"] - 1.0),
         closed_form=lambda p: math.pi
         / (p["b"] - p["a"])
         * (p["a"] ** (p["mu"] - 1.0) - p["b"] ** (p["mu"] - 1.0))
@@ -210,8 +210,8 @@ GROUP_C = [
         make_integrand=lambda p: (
             lambda x, dlo, dhi: power(dlo, p["mu"] - 1.0) / ((p["b"] + x) * (p["a"] - x))
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(
-            0.0, alpha_lo=p["mu"] - 1.0, poles=(p["a"],)
+        make_spec=lambda p: IntegralSpec(
+            0.0, math.inf, p["mu"] - 1.0, poles=(p["a"],)
         ),
         make_folds=lambda p: (fold_product_one_pole(p["mu"], p["a"], p["b"]),),
         closed_form=lambda p: math.pi
@@ -230,13 +230,13 @@ GROUP_C = [
             real("mu", 0.0, 2.0, exclude=(1.0,)),
             real("a", 0.0, 2.4),
             real("b", 0.6, 3.0),
-            rels=(rel("|a - b| > 0.25", lambda q: abs(q["a"] - q["b"]) > 0.25),),
+            rels=(Relation("|a - b| > 0.25", lambda q: abs(q["a"] - q["b"]) > 0.25),),
         ),
         make_integrand=lambda p: (
             lambda x, dlo, dhi: power(dlo, p["mu"] - 1.0) / ((p["a"] - x) * (p["b"] - x))
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(
-            0.0, alpha_lo=p["mu"] - 1.0, poles=(p["a"], p["b"])
+        make_spec=lambda p: IntegralSpec(
+            0.0, math.inf, p["mu"] - 1.0, poles=(p["a"], p["b"])
         ),
         make_folds=lambda p: tuple(
             fold_product_two_pole(p["mu"], s, o)
@@ -260,10 +260,10 @@ GROUP_C = [
             real("a", 0.0, 2.4),
             real("b", 0.0, 3.0),
             real("c", 0.6, 3.0),
-            rels=(rel("|a - c| > 0.2", lambda q: abs(q["a"] - q["c"]) > 0.2),),
+            rels=(Relation("|a - c| > 0.2", lambda q: abs(q["a"] - q["c"]) > 0.2),),
         ),
         make_integrand=_integrand_3224,
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["mu"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["mu"] - 1.0),
         closed_form=_closed_3224,
     ),
     IdentityRecord(
@@ -289,7 +289,7 @@ GROUP_C = [
                 + np.exp((p["b"] - 1.0) * np.log(x) - (p["a"] + p["b"]) * np.log1p(x))
             )
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(1.0),
+        make_spec=lambda p: IntegralSpec(1.0, math.inf),
         closed_form=lambda p: sf.beta(p["a"], p["b"]),
     ),
     IdentityRecord(
@@ -300,14 +300,14 @@ GROUP_C = [
             real("a", 0.0, 3.0),
             real("p", 0.0, 3.0),
             real("u", 0.0, 3.0),
-            rels=(rel("p + 1 - a > 0.2", lambda q: q["p"] + 1.0 - q["a"] > 0.2),),
+            rels=(Relation("p + 1 - a > 0.2", lambda q: q["p"] + 1.0 - q["a"] > 0.2),),
         ),
         make_integrand=lambda p: (
             lambda x, dlo, dhi: np.exp(
                 (p["a"] - 1.0) * np.log(dlo) - (p["p"] + 1.0) * np.log1p(p["u"] * x)
             )
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["a"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["a"] - 1.0),
         closed_form=lambda p: p["u"] ** -p["a"] * sf.beta(p["a"], p["p"] + 1.0 - p["a"]),
     ),
     IdentityRecord(
@@ -322,7 +322,7 @@ GROUP_C = [
                 (p["a"] - 1.0) * np.log(dlo) - (p["a"] + p["b"]) * np.log(x + p["v"])
             )
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(p["u"], alpha_lo=p["a"] - 1.0),
+        make_spec=lambda p: IntegralSpec(p["u"], math.inf, p["a"] - 1.0),
         closed_form=lambda p: (p["u"] + p["v"]) ** -p["b"] * sf.beta(p["a"], p["b"]),
     ),
     IdentityRecord(
@@ -333,12 +333,12 @@ GROUP_C = [
             real("a", 0.0, 3.0),
             real("c", 0.0, 4.0),
             real("u", 0.0, 3.0),
-            rels=(rel("c - a > 0.2", lambda q: q["c"] - q["a"] > 0.2),),
+            rels=(Relation("c - a > 0.2", lambda q: q["c"] - q["a"] > 0.2),),
         ),
         make_integrand=lambda p: (
             lambda x, dlo, dhi: np.exp((p["a"] - 1.0) * np.log(dlo) - p["c"] * np.log(x))
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(p["u"], alpha_lo=p["a"] - 1.0),
+        make_spec=lambda p: IntegralSpec(p["u"], math.inf, p["a"] - 1.0),
         closed_form=lambda p: p["u"] ** (p["a"] - p["c"]) * sf.beta(p["a"], p["c"] - p["a"]),
     ),
     IdentityRecord(
@@ -350,8 +350,8 @@ GROUP_C = [
             real("b", 0.0, 2.0),
             real("c", 0.3, 3.0),
             rels=(
-                rel("a*c > 0.1", lambda q: q["a"] * q["c"] > 0.1),
-                rel("b*c > 0.1", lambda q: q["b"] * q["c"] > 0.1),
+                Relation("a*c > 0.1", lambda q: q["a"] * q["c"] > 0.1),
+                Relation("b*c > 0.1", lambda q: q["b"] * q["c"] > 0.1),
             ),
         ),
         make_integrand=lambda p: (
@@ -360,7 +360,7 @@ GROUP_C = [
                 - (p["a"] + p["b"]) * softplus(p["c"] * np.log(dlo))
             )
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["a"] * p["c"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["a"] * p["c"] - 1.0),
         closed_form=lambda p: sf.beta(p["a"], p["b"]) / p["c"],
     ),
     IdentityRecord(
@@ -373,7 +373,7 @@ GROUP_C = [
                 (p["mu"] + 1.0) * np.log(dlo) - 2.0 * softplus(2.0 * np.log(dlo))
             )
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["mu"] + 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["mu"] + 1.0),
         closed_form=lambda p: p["mu"] * math.pi / (4.0 * math.sin(p["mu"] * math.pi / 2.0)),
     ),
     IdentityRecord(
@@ -383,14 +383,14 @@ GROUP_C = [
         domain=domain(
             real("p", 0.1, 3.0),
             real("c", 0.5, 4.0),
-            rels=(rel("c - p > 0.25", lambda q: q["c"] - q["p"] > 0.25),),
+            rels=(Relation("c - p > 0.25", lambda q: q["c"] - q["p"] > 0.25),),
         ),
         make_integrand=lambda p: (
             lambda x, dlo, dhi: np.exp(
                 (p["p"] - 1.0) * np.log(dlo) - softplus(p["c"] * np.log(dlo))
             )
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["p"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["p"] - 1.0),
         closed_form=lambda p: math.pi / p["c"] / math.sin(math.pi * p["p"] / p["c"]),
     ),
     IdentityRecord(
@@ -401,12 +401,12 @@ GROUP_C = [
             real("nu", 0.0, 1.0),
             real("a", 0.0, 2.4),
             real("b", 0.6, 3.0),
-            rels=(rel("b - a > 0.2", lambda q: q["b"] - q["a"] > 0.2),),
+            rels=(Relation("b - a > 0.2", lambda q: q["b"] - q["a"] > 0.2),),
         ),
         make_integrand=lambda p: (
             lambda x, dlo, dhi: power(dlo, -p["nu"]) / (p["a"] - p["b"] * x)
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(1.0, alpha_lo=-p["nu"]),
+        make_spec=lambda p: IntegralSpec(1.0, math.inf, -p["nu"]),
         closed_form=lambda p: -math.pi
         / p["b"]
         / math.sin(p["nu"] * math.pi)
@@ -420,12 +420,12 @@ GROUP_C = [
             real("nu", 0.0, 1.0),
             real("a", 0.6, 3.0),
             real("b", 0.0, 2.4),
-            rels=(rel("a - b > 0.2", lambda q: q["a"] - q["b"] > 0.2),),
+            rels=(Relation("a - b > 0.2", lambda q: q["a"] - q["b"] > 0.2),),
         ),
         make_integrand=lambda p: (
             lambda x, dlo, dhi: power(dhi, -p["nu"]) / (p["a"] - p["b"] * x)
         ),
-        make_spec=lambda p: IntegralSpec.half_line_down(1.0, alpha_hi=-p["nu"]),
+        make_spec=lambda p: IntegralSpec(-math.inf, 1.0, 0.0, -p["nu"]),
         closed_form=lambda p: math.pi
         / p["b"]
         / math.sin(p["nu"] * math.pi)
@@ -443,12 +443,12 @@ GROUP_D = [
             real("p", 0.0, 1.0),
             real("a", -1.0, 2.0),
             real("b", -2.0, 1.5),
-            rels=(rel("a - b > 0.25", lambda q: q["a"] - q["b"] > 0.25),),
+            rels=(Relation("a - b > 0.25", lambda q: q["a"] - q["b"] > 0.25),),
         ),
         make_integrand=lambda p: (
             lambda x, dlo, dhi: power(dlo, p["p"] - 1.0) / (x - p["b"])
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(p["a"], alpha_lo=p["p"] - 1.0),
+        make_spec=lambda p: IntegralSpec(p["a"], math.inf, p["p"] - 1.0),
         closed_form=lambda p: math.pi
         * (p["a"] - p["b"]) ** (p["p"] - 1.0)
         / math.sin(math.pi * p["p"]),
@@ -461,12 +461,12 @@ GROUP_D = [
             real("p", 0.0, 1.0),
             real("a", -1.0, 1.5),
             real("b", -0.5, 2.5),
-            rels=(rel("b - a > 0.25", lambda q: q["b"] - q["a"] > 0.25),),
+            rels=(Relation("b - a > 0.25", lambda q: q["b"] - q["a"] > 0.25),),
         ),
         make_integrand=lambda p: (
             lambda x, dlo, dhi: power(dhi, p["p"] - 1.0) / (x - p["b"])
         ),
-        make_spec=lambda p: IntegralSpec.half_line_down(p["a"], alpha_hi=p["p"] - 1.0),
+        make_spec=lambda p: IntegralSpec(-math.inf, p["a"], 0.0, p["p"] - 1.0),
         closed_form=lambda p: -math.pi
         * (p["b"] - p["a"]) ** (p["p"] - 1.0)
         / math.sin(math.pi * p["p"]),
@@ -478,12 +478,12 @@ GROUP_D = [
         domain=domain(
             real("a", -0.5, 2.0),
             real("b", 0.7, 4.0),
-            rels=(rel("b - a > 1.2", lambda q: q["b"] - q["a"] > 1.2),),
+            rels=(Relation("b - a > 1.2", lambda q: q["b"] - q["a"] > 1.2),),
         ),
         make_integrand=lambda p: (
             lambda x, dlo, dhi: np.exp(p["a"] * np.log(dlo) - p["b"] * np.log1p(x))
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["a"]),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["a"]),
         closed_form=lambda p: sf.beta(p["a"] + 1.0, p["b"] - p["a"] - 1.0),
     ),
     IdentityRecord(
@@ -494,7 +494,7 @@ GROUP_D = [
         make_integrand=lambda p: (
             lambda x, dlo, dhi: np.exp((p["p"] - 1.0) * np.log(dlo) - 2.0 * np.log(x))
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(1.0, alpha_lo=p["p"] - 1.0),
+        make_spec=lambda p: IntegralSpec(1.0, math.inf, p["p"] - 1.0),
         closed_form=lambda p: math.pi * (1.0 - p["p"]) / math.sin(p["p"] * math.pi),
     ),
     IdentityRecord(
@@ -505,7 +505,7 @@ GROUP_D = [
         make_integrand=lambda p: (
             lambda x, dlo, dhi: np.exp((1.0 - p["p"]) * np.log(dlo) - 3.0 * np.log(x))
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(1.0, alpha_lo=1.0 - p["p"]),
+        make_spec=lambda p: IntegralSpec(1.0, math.inf, 1.0 - p["p"]),
         closed_form=lambda p: math.pi
         * p["p"]
         * (1.0 - p["p"])
@@ -519,7 +519,7 @@ GROUP_D = [
         make_integrand=lambda p: (
             lambda x, dlo, dhi: np.exp(p["p"] * np.log(dlo) - 3.0 * np.log1p(x))
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["p"]),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["p"]),
         closed_form=lambda p: p["p"]
         * (1.0 - p["p"])
         * math.pi

@@ -12,6 +12,7 @@ from .. import specfun as sf
 from ..quad import IntegralSpec
 from .core import (
     IdentityRecord,
+    Relation,
     cot,
     domain,
     logcosh,
@@ -19,7 +20,6 @@ from .core import (
     per_row,
     power,
     real,
-    rel,
     softplus,
 )
 
@@ -37,7 +37,7 @@ GROUP_F = [
                 -p["a"] * x + (p["b"] - 1.0) * np.log(-np.expm1(-p["c"] * dlo))
             )
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["b"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["b"] - 1.0),
         closed_form=lambda p: sf.beta(p["a"] / p["c"], p["b"]) / p["c"],
     ),
     IdentityRecord(
@@ -50,7 +50,7 @@ GROUP_F = [
                 -p["a"] * p["c"] * x - (p["a"] + p["b"]) * softplus(-p["c"] * x)
             )
         ),
-        make_spec=lambda p: IntegralSpec.real_line(),
+        make_spec=lambda p: IntegralSpec(-math.inf, math.inf),
         closed_form=lambda p: sf.beta(p["a"], p["b"]) / p["c"],
     ),
     IdentityRecord(
@@ -63,8 +63,8 @@ GROUP_F = [
             real("mu", 0.0, 2.0),
             real("nu", 0.0, 3.0),
             rels=(
-                rel("a*mu > 0.1", lambda q: q["a"] * q["mu"] > 0.1),
-                rel("nu - a*mu > 0.1", lambda q: q["nu"] - q["a"] * q["mu"] > 0.1),
+                Relation("a*mu > 0.1", lambda q: q["a"] * q["mu"] > 0.1),
+                Relation("nu - a*mu > 0.1", lambda q: q["nu"] - q["a"] * q["mu"] > 0.1),
             ),
         ),
         make_integrand=lambda p: (
@@ -73,7 +73,7 @@ GROUP_F = [
                 - p["nu"] * np.logaddexp(p["b"] / p["a"], -x / p["a"])
             )
         ),
-        make_spec=lambda p: IntegralSpec.real_line(),
+        make_spec=lambda p: IntegralSpec(-math.inf, math.inf),
         closed_form=lambda p: p["a"]
         * math.exp(p["b"] * (p["mu"] - p["nu"] / p["a"]))
         * sf.beta(p["a"] * p["mu"], p["nu"] - p["a"] * p["mu"]),
@@ -85,12 +85,12 @@ GROUP_F = [
         domain=domain(
             real("p", 0.05, 2.0),
             real("q", 0.3, 3.0),
-            rels=(rel("q - p > 0.1", lambda r: r["q"] - r["p"] > 0.1),),
+            rels=(Relation("q - p > 0.1", lambda r: r["q"] - r["p"] > 0.1),),
         ),
         make_integrand=lambda p: (
             lambda x, dlo, dhi: np.exp(-p["p"] * x - softplus(-p["q"] * x))
         ),
-        make_spec=lambda p: IntegralSpec.real_line(),
+        make_spec=lambda p: IntegralSpec(-math.inf, math.inf),
         closed_form=lambda p: math.pi / (p["q"] * math.sin(math.pi * p["p"] / p["q"])),
     ),
     IdentityRecord(
@@ -103,7 +103,7 @@ GROUP_F = [
                 -p["mu"] * x - np.logaddexp(per_row(math.log, p["b"]), -x)
             )
         ),
-        make_spec=lambda p: IntegralSpec.real_line(),
+        make_spec=lambda p: IntegralSpec(-math.inf, math.inf),
         closed_form=lambda p: math.pi
         * p["b"] ** (p["mu"] - 1.0)
         / math.sin(p["mu"] * math.pi),
@@ -145,7 +145,7 @@ GROUP_G = [
             real("v", 0.5, 4.0),
             real("p", 0.0, 3.0),
             real("q", 0.0, 3.0),
-            rels=(rel("v - u > 0.3", lambda r: r["v"] - r["u"] > 0.3),),
+            rels=(Relation("v - u > 0.3", lambda r: r["v"] - r["u"] > 0.3),),
         ),
         make_integrand=_integrand_4273,
         make_spec=lambda p: IntegralSpec(
@@ -201,8 +201,8 @@ GROUP_H = [
         citation="GR 3.217: int_0^inf [b^p x^(p-1)(1+bx)^-p - (1+bx)^(p-1)/(b^(p-1) x^p)] dx = pi cot(pi p)",
         domain=domain(real("p", 0.0, 1.0), real("b", 0.0, 3.0)),
         make_integrand=lambda p: _fake_parameter_kernel(p["p"], 1.0 / p["b"]),
-        make_spec=lambda p: IntegralSpec.half_line_up(
-            0.0, alpha_lo=np.minimum(p["p"] - 1.0, -p["p"])
+        make_spec=lambda p: IntegralSpec(
+            0.0, math.inf, np.minimum(p["p"] - 1.0, -p["p"])
         ),
         closed_form=lambda p: math.pi * cot(math.pi * p["p"]),
         tolerance_class="combined",
@@ -213,8 +213,8 @@ GROUP_H = [
         citation="GR 3.218: int_0^inf [x^(2p-1)-(a+x)^(2p-1)]/((a+x)^p x^p) dx = pi cot(pi p)",
         domain=domain(real("p", 0.0, 1.0), real("a", 0.0, 3.0)),
         make_integrand=lambda p: _fake_parameter_kernel(p["p"], p["a"]),
-        make_spec=lambda p: IntegralSpec.half_line_up(
-            0.0, alpha_lo=np.minimum(p["p"] - 1.0, -p["p"])
+        make_spec=lambda p: IntegralSpec(
+            0.0, math.inf, np.minimum(p["p"] - 1.0, -p["p"])
         ),
         closed_form=lambda p: math.pi * cot(math.pi * p["p"]),
         tolerance_class="combined",
@@ -234,7 +234,7 @@ GROUP_I = [
             lambda x, dlo, dhi: np.exp((p["a"] - 1.0) * np.log(dlo) - np.log1p(x))
             * np.log(dlo)
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["a"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["a"] - 1.0),
         closed_form=lambda p: -math.pi ** 2
         * math.cos(math.pi * p["a"])
         / math.sin(math.pi * p["a"]) ** 2,
@@ -250,7 +250,7 @@ GROUP_I = [
             )
             * np.log(dlo)
         ),
-        make_spec=lambda p: IntegralSpec.half_line_up(0.0, alpha_lo=p["a"] - 1.0),
+        make_spec=lambda p: IntegralSpec(0.0, math.inf, p["a"] - 1.0),
         closed_form=lambda p: math.pi
         * p["b"] ** (p["a"] - 1.0)
         / math.sin(math.pi * p["a"])
@@ -295,7 +295,7 @@ GROUP_J = [
         citation="GR 3.457.3: int_R x (a^2 e^x + e^-x)^-mu dx = -B(mu/2, mu/2) ln(a)/(2 a^mu)",
         domain=domain(real("a", 0.3, 3.0), real("mu", 0.5, 4.0)),
         make_integrand=_integrand_3457_3,
-        make_spec=lambda p: IntegralSpec.real_line(),
+        make_spec=lambda p: IntegralSpec(-math.inf, math.inf),
         closed_form=lambda p: -0.5
         * p["a"] ** -p["mu"]
         * sf.beta(0.5 * p["mu"], 0.5 * p["mu"])
@@ -309,7 +309,7 @@ GROUP_J = [
         make_integrand=lambda p: (
             lambda x, dlo, dhi: x * np.exp(-p["mu"] * logcosh(x))
         ),
-        make_spec=lambda p: IntegralSpec.real_line(),
+        make_spec=lambda p: IntegralSpec(-math.inf, math.inf),
         closed_form=lambda p: 0.0,
         zero_atol=1e-9,
     ),
@@ -319,7 +319,7 @@ GROUP_J = [
         citation="damped variant of GR 4.321.1: int_R x ln(cosh x) cosh(x)^-mu dx = 0",
         domain=domain(real("mu", 0.5, 4.0)),
         make_integrand=lambda p: _integrand_4321_damped(p["mu"]),
-        make_spec=lambda p: IntegralSpec.real_line(),
+        make_spec=lambda p: IntegralSpec(-math.inf, math.inf),
         closed_form=lambda p: 0.0,
         zero_atol=1e-9,
     ),

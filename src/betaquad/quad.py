@@ -120,12 +120,15 @@ def _span(value):
 class IntegralSpec:
     """Domain, endpoint singularity exponents and interior pole locations.
 
-    The ends say the domain's shape: ``lo`` may be ``-math.inf`` and ``hi``
-    ``math.inf``, for a half-line or the real line.  An infinite end is
-    stored as that float and takes a zero exponent; between finite ends,
-    lo < hi and the width ``hi - lo`` must be finite.  ``alpha_lo``/
-    ``alpha_hi`` describe power-law behaviour of the integrand near the
-    corresponding finite endpoint; both must be finite and exceed -1 for
+    The ends alone say the domain's shape: ``lo`` may be ``-math.inf`` and
+    ``hi`` ``math.inf``, for a half-line or the real line, so
+    ``IntegralSpec(0.0, math.inf, a - 1.0)`` is [0, inf) with exponent
+    a - 1 at 0 and ``IntegralSpec(-math.inf, 1.0, 0.0, b)`` is (-inf, 1]
+    with exponent b at 1.  An infinite end is stored as that float and
+    takes a zero exponent; between finite ends, lo < hi and the width
+    ``hi - lo`` must be finite.  ``alpha_lo``/``alpha_hi`` describe
+    power-law behaviour of the integrand near the corresponding finite
+    endpoint; both must be finite and exceed -1 for
     the integral to exist.  They are declarative: the engines do not read
     them, ``catalog.endpoint_slope_audit`` checks them against the
     integrand.  Poles, any iterable but a string, are simple, sorted in
@@ -189,19 +192,6 @@ class IntegralSpec:
                 raise ValueError(f"pole {v!r} is not strictly inside ({lo}, {hi})")
             poles = tuple(ordered.T[..., None]) if any(map(_is_column, poles)) else tuple(sorted(poles))
         object.__setattr__(self, "poles", poles)
-
-    # convenience constructors: each fills in the infinite ends --------------
-    @classmethod
-    def half_line_up(cls, lo, alpha_lo=0.0, poles=()):
-        return cls(lo, math.inf, alpha_lo, 0.0, poles)
-
-    @classmethod
-    def half_line_down(cls, hi, alpha_hi=0.0, poles=()):
-        return cls(-math.inf, hi, 0.0, alpha_hi, poles)
-
-    @classmethod
-    def real_line(cls, poles=()):
-        return cls(-math.inf, math.inf, 0.0, 0.0, poles)
 
 
 @dataclass(frozen=True, slots=True)
@@ -653,7 +643,7 @@ def integrate_half_line(f, spec: IntegralSpec, tol: float = DEFAULT_TOL) -> Quad
 
 def integrate_real_line(f, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """sinh-sinh over the whole real line (exponentially decaying integrands)."""
-    return _one(integrate_rows(lambda rows: f, IntegralSpec.real_line(), 1, tol))
+    return _one(integrate_rows(lambda rows: f, IntegralSpec(-math.inf, math.inf), 1, tol))
 
 
 def _naive_fold(f, s, lo, hi):

@@ -245,8 +245,6 @@ def beta(a: float, b: float) -> float:
         # 1/Gamma(a+b) = 0; Gamma(x) has the sign of sin(pi x) for x < 0
         sa, sb = (1.0 if x > 0.0 else _sinpi(x) for x in (a, b))
         return math.copysign(0.0, sa * sb)
-    if a > 0.0 and b > 0.0:
-        return math.exp(log_beta(a, b))
     la, sa = _log_abs_gamma_signed(a)
     ratio = _log_gamma_ratio(a, b)
     if ratio is not None:

@@ -1,6 +1,8 @@
 """Pinned seed-7 behaviour: the parameter stream, what every outcome did
 (status and evaluation count), and the bytes of the default and the
-``--samples 200`` reports.
+``--samples 200`` reports; the bytes ``betaquad export`` writes; and a
+value-change guard: every default outcome passes on 17 seeds, and the edge
+margins' non-passes have pinned counts by status.
 
 A change that moves one of these values re-pins it in the same commit and
 records old -> new in CHANGES.md.  The stream and the behaviour fingerprint
@@ -9,6 +11,7 @@ floating-point results, so they are pinned together with the environment
 that produced them, and the byte test is skipped elsewhere.
 """
 
+import collections
 import hashlib
 import io
 import platform
@@ -16,7 +19,7 @@ import platform
 import numpy as np
 import pytest
 
-from betaquad import catalog, verify
+from betaquad import catalog, cli, verify
 
 try:
     from numpy._core import _multiarray_umath as _umath
@@ -112,3 +115,41 @@ def test_edge_behaviour_fingerprint(with_margin):
     assert len(outcomes) == 1600
     assert sha256([(o.entry_id, o.sample_index, o.status, o.evaluations)
                    for o in outcomes]) == "af14a3bb0fa43eb755a9e83dabf9a2342885ad639a4b2a7efa0b4e9e37765225"
+
+
+def test_catalog_export_bytes(tmp_path):
+    """sha256 of the ``catalog.json`` that ``betaquad export`` writes: every
+    entry's citation, parameter ranges, relation texts and tolerance class."""
+    out = tmp_path / "catalog.json"
+    assert cli.run(["export", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "4ff19562705b9087730cce57293fd99250c4871b0e49bf64ceea915203f5e87c"
+    )
+
+
+def test_every_default_outcome_passes_on_many_seeds():
+    """At the default margin every outcome passes, on seeds 1-16 and 100007.
+    No worst error is pinned: it belongs to one parameter stream."""
+    for seed in [*range(1, 17), 100007]:
+        failing = [(o.entry_id, o.sample_index, o.status)
+                   for o in verify.verify_all(verify.RunConfig(seed=seed)).outcomes
+                   if o.status != "pass"]
+        assert failing == [], seed
+
+
+@pytest.mark.parametrize("margin, seed, fail, nonconverged", [
+    (0.01, 7, 6, 5),
+    (0.01, 11, 9, 6),
+    (0.002, 7, 11, 10),
+    (0.002, 11, 8, 17),
+])
+def test_edge_counts_by_status(with_margin, margin, seed, fail, nonconverged):
+    """The non-passes of 20 samples per entry at an edge margin, by status.
+    A change that lowers a count re-pins it; raising one is a regression.
+    Edge rows stop next to the tolerance limits, so the counts hold only
+    where they were recorded."""
+    skip_outside_report_environment("edge stop levels are")
+    cfg = verify.RunConfig(seed=seed)
+    counts = collections.Counter(o.status for rec in catalog.all_entries()
+                                 for o in verify.verify_entry(with_margin(rec, margin), cfg))
+    assert counts == {"pass": 1600 - fail - nonconverged, "fail": fail, "quad_nonconverged": nonconverged}

@@ -56,16 +56,16 @@ class TestSpecValidation:
         with rejects("pole 1.0 is not strictly inside (0.0, 1.0)"):
             IntegralSpec(0.0, 1.0, poles=(1.0,))
         with rejects("pole -2.0 is not strictly inside (0.0, inf)"):
-            IntegralSpec.half_line_up(0.0, poles=(-2.0,))
+            IntegralSpec(0.0, math.inf, poles=(-2.0,))
         with rejects("pole 0.0 is not strictly inside (-inf, 0.0)"):
-            IntegralSpec.half_line_down(0.0, poles=(-1.0, 0.0))
+            IntegralSpec(-math.inf, 0.0, poles=(-1.0, 0.0))
 
     def test_poles_distinct_and_sorted(self):
         with rejects("interior poles must be pairwise distinct"):
             IntegralSpec(0.0, 3.0, poles=(1.0, 1.0))
         spec = IntegralSpec(0.0, 3.0, poles=(2.0, 1.0))
         assert spec.poles == (1.0, 2.0)
-        assert IntegralSpec.real_line(poles=[]).poles == ()
+        assert IntegralSpec(-math.inf, math.inf, poles=[]).poles == ()
 
     @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)])
     def test_finite_endpoints_must_be_finite(self, lo, hi):
@@ -80,11 +80,11 @@ class TestSpecValidation:
 
     def test_half_line_anchor_must_be_finite(self):
         with rejects("lo must be finite in every row or -inf in every row"):
-            IntegralSpec.half_line_up(math.inf)
+            IntegralSpec(math.inf, math.inf)
         with rejects("hi must be finite in every row or inf in every row"):
-            IntegralSpec.half_line_down(-math.inf)
+            IntegralSpec(-math.inf, -math.inf)
         with rejects("lo must be finite in every row or -inf in every row"):
-            IntegralSpec.half_line_up(math.nan)
+            IntegralSpec(math.nan, math.inf)
 
     @pytest.mark.parametrize("shape, fields", [
         ("half_line_up", dict(lo=0.0, alpha_hi=0.5)),
@@ -106,20 +106,20 @@ class TestSpecValidation:
         with rejects("endpoint exponents must exceed -1 for integrability"):
             IntegralSpec(0.0, 1.0, alpha_lo=math.nan)
         with rejects("endpoint exponents must exceed -1 for integrability"):
-            IntegralSpec.half_line_down(0.0, alpha_hi=math.nan)
+            IntegralSpec(-math.inf, 0.0, 0.0, math.nan)
 
     def test_infinite_exponent_rejected(self):
         # an infinite exponent passes the integrability test but is no power law
         with rejects("endpoint exponents must be finite"):
             IntegralSpec(0.0, 1.0, alpha_lo=math.inf)
         with rejects("endpoint exponents must be finite"):
-            IntegralSpec.half_line_up(0.0, alpha_lo=math.inf)
+            IntegralSpec(0.0, math.inf, math.inf)
 
     @pytest.mark.parametrize("spec, lo, hi", [
         (IntegralSpec(0.0, 1.0), 0.0, 1.0),
-        (IntegralSpec.half_line_up(2.0, alpha_lo=0.5), 2.0, math.inf),
-        (IntegralSpec.half_line_down(-1.0, poles=(-3.0,)), -math.inf, -1.0),
-        (IntegralSpec.real_line(poles=(0.5,)), -math.inf, math.inf),
+        (IntegralSpec(2.0, math.inf, 0.5), 2.0, math.inf),
+        (IntegralSpec(-math.inf, -1.0, poles=(-3.0,)), -math.inf, -1.0),
+        (IntegralSpec(-math.inf, math.inf, poles=(0.5,)), -math.inf, math.inf),
     ])
     def test_infinite_ends_are_stored_as_infinities(self, spec, lo, hi):
         assert (spec.lo, spec.hi) == (lo, hi)
@@ -151,9 +151,9 @@ class TestSpecValidation:
         with rejects(upper):
             IntegralSpec(-2.0, value)
         with rejects(lower):
-            IntegralSpec.half_line_up(value)
+            IntegralSpec(value, math.inf)
         with rejects(upper):
-            IntegralSpec.half_line_down(value)
+            IntegralSpec(-math.inf, value)
 
     @pytest.mark.parametrize("value", [
         True, False, pytest.param(np.True_, id="np.True_"), pytest.param(np.False_, id="np.False_"),
@@ -165,21 +165,21 @@ class TestSpecValidation:
         with rejects("endpoint exponents must exceed -1 for integrability"):
             IntegralSpec(0.0, 1.0, alpha_hi=value)
         with rejects("endpoint exponents must exceed -1 for integrability"):
-            IntegralSpec.half_line_up(0.0, alpha_lo=value)
+            IntegralSpec(0.0, math.inf, value)
 
     @pytest.mark.parametrize("value", [True, pytest.param(np.True_, id="np.True_"), "0.5", 0.5j])
     def test_pole_must_be_real(self, value):
         with rejects(f"pole {value!r} is not strictly inside (-2.0, 2.0)"):
             IntegralSpec(-2.0, 2.0, poles=(value,))
         with rejects(f"pole {value!r} is not strictly inside (-inf, inf)"):
-            IntegralSpec.real_line(poles=(-1.0, value))
+            IntegralSpec(-math.inf, math.inf, poles=(-1.0, value))
 
     def test_numpy_reals_accepted(self):
         spec = IntegralSpec(np.float64(0.0), np.int64(2), np.float32(0.5), poles=(np.float64(1.0),))
         assert spec == IntegralSpec(0.0, 2.0, 0.5, poles=(1.0,))
 
     def test_integer_too_large_for_a_float_is_infinite(self):
-        assert IntegralSpec(0, 10**400) == IntegralSpec.half_line_up(0.0)
+        assert IntegralSpec(0, 10**400) == IntegralSpec(0.0, math.inf)
         with rejects("hi must be finite in every row or inf in every row"):
             IntegralSpec(0, -10**400)
         with rejects("endpoint exponents must be finite"):
@@ -190,7 +190,7 @@ class TestSpecValidation:
     def test_poles_must_be_an_iterable(self):
         for poles in (None, 0.5, "0.5"):
             with rejects("poles must be an iterable of interior poles"):
-                IntegralSpec.real_line(poles=poles)
+                IntegralSpec(-math.inf, math.inf, poles=poles)
         # any other iterable is taken as a tuple
         spec = IntegralSpec(0.0, 3.0, poles=(2.0, 1.0))
         for poles in ([2.0, 1.0], np.array([2.0, 1.0]), (s for s in (2.0, 1.0)), range(2, 0, -1)):
@@ -256,7 +256,7 @@ class TestColumnSpec:
         np.testing.assert_array_equal(spec.alpha_lo, a - 1.0)
         assert all(s.shape == (2, 1) for s in spec.poles)
         np.testing.assert_array_equal(np.hstack(spec.poles), [[0.5, 1.5], [0.25, 2.0]])
-        assert IntegralSpec.half_line_up(a).hi == math.inf
+        assert IntegralSpec(a, math.inf).hi == math.inf
 
     def test_columns_share_one_length(self):
         with rejects("spec columns must share one length"):
@@ -275,7 +275,7 @@ class TestColumnSpec:
         with rejects("pole 2.0 is not strictly inside (0.0, 1.0)"):
             IntegralSpec(np.zeros((1, 1)), np.ones((1, 1)), poles=(np.array([[0.5], [2.0]]),))
         with rejects("pole 3 is not strictly inside (-inf, 0.0)"):
-            IntegralSpec.half_line_down(np.zeros((1, 1)), poles=(np.array([[-1], [-2], [3]]), -0.5))
+            IntegralSpec(-math.inf, np.zeros((1, 1)), poles=(np.array([[-1], [-2], [3]]), -0.5))
 
     @pytest.mark.parametrize("fields", [
         dict(lo=np.zeros((0, 1)), hi=1.0),
@@ -327,7 +327,7 @@ class TestRecordLayout:
         assert dataclasses.replace(spec, poles=(1.5, 0.5)).poles == (0.5, 1.5)
         with rejects("pole 3.0 is not strictly inside (0.0, 2.0)"):
             dataclasses.replace(spec, poles=(3.0,))
-        assert dataclasses.replace(IntegralSpec.half_line_up(1.0), lo=2.0).hi == math.inf
+        assert dataclasses.replace(IntegralSpec(1.0, math.inf), lo=2.0).hi == math.inf
 
     def test_result_repr_hides_level_errors(self):
         res = self.RESULT
@@ -386,7 +386,7 @@ class TestFinite:
     def test_rejects_wrong_kind(self):
         with pytest.raises(ValueError):
             quad.integrate_finite(
-                lambda x, dlo, dhi: x, IntegralSpec.half_line_up(0.0), TOL
+                lambda x, dlo, dhi: x, IntegralSpec(0.0, math.inf), TOL
             )
 
 
@@ -399,7 +399,7 @@ def _never_called(x, dlo, dhi):
     "engine",
     [
         lambda tol: quad.integrate_finite(_never_called, IntegralSpec(0.0, 1.0), tol),
-        lambda tol: quad.integrate_half_line(_never_called, IntegralSpec.half_line_up(0.0), tol),
+        lambda tol: quad.integrate_half_line(_never_called, IntegralSpec(0.0, math.inf), tol),
         lambda tol: quad.integrate_real_line(_never_called, tol),
         lambda tol: quad.integrate_pv(
             _never_called, IntegralSpec(0.0, 2.0, poles=(1.0,)), tol
@@ -416,7 +416,7 @@ def test_rejects_bad_args(engine, tol):
 class TestHalfLine:
     def test_arctan(self):
         res = quad.integrate_half_line(
-            lambda x, dlo, dhi: 1.0 / (1.0 + x * x), IntegralSpec.half_line_up(0.0), TOL
+            lambda x, dlo, dhi: 1.0 / (1.0 + x * x), IntegralSpec(0.0, math.inf), TOL
         )
         assert res.converged
         assert res.value == pytest.approx(math.pi / 2.0, rel=1e-12)
@@ -424,26 +424,26 @@ class TestHalfLine:
     def test_euler_reflection_integral(self):
         res = quad.integrate_half_line(
             lambda x, dlo, dhi: 1.0 / (np.sqrt(dlo) * (1.0 + x)),
-            IntegralSpec.half_line_up(0.0, alpha_lo=-0.5),
+            IntegralSpec(0.0, math.inf, -0.5),
             TOL,
         )
         assert res.value == pytest.approx(math.pi, rel=1e-11)
 
     def test_three_halves_decay(self):
         res = quad.integrate_half_line(
-            lambda x, dlo, dhi: (1.0 + x) ** -1.5, IntegralSpec.half_line_up(0.0), TOL
+            lambda x, dlo, dhi: (1.0 + x) ** -1.5, IntegralSpec(0.0, math.inf), TOL
         )
         assert res.value == pytest.approx(2.0, rel=1e-12)
 
     def test_downward_direction(self):
         res = quad.integrate_half_line(
-            lambda x, dlo, dhi: np.exp(x), IntegralSpec.half_line_down(0.0), TOL
+            lambda x, dlo, dhi: np.exp(x), IntegralSpec(-math.inf, 0.0), TOL
         )
         assert res.value == pytest.approx(1.0, rel=1e-12)
 
     def test_divergent_integrand_flagged(self):
         res = quad.integrate_half_line(
-            lambda x, dlo, dhi: 1.0 / (1.0 + x), IntegralSpec.half_line_up(0.0), TOL
+            lambda x, dlo, dhi: 1.0 / (1.0 + x), IntegralSpec(0.0, math.inf), TOL
         )
         assert not res.converged
         assert res.status == "diverging"
@@ -486,7 +486,7 @@ class TestPrincipalValue:
         # PV int_0^inf x^(-1/2)/(x-1) dx = 0
         res = quad.integrate_pv(
             lambda x, dlo, dhi: 1.0 / (np.sqrt(dlo) * (x - 1.0)),
-            IntegralSpec.half_line_up(0.0, alpha_lo=-0.5, poles=(1.0,)),
+            IntegralSpec(0.0, math.inf, -0.5, poles=(1.0,)),
             TOL,
         )
         assert res.value == pytest.approx(0.0, abs=1e-8)
@@ -495,7 +495,7 @@ class TestPrincipalValue:
         # mirror image: PV int_-inf^0 (-x)^(-1/2)/(-x-1) dx = 0
         res = quad.integrate_pv(
             lambda x, dlo, dhi: 1.0 / (np.sqrt(dhi) * (-x - 1.0)),
-            IntegralSpec.half_line_down(0.0, alpha_hi=-0.5, poles=(-1.0,)),
+            IntegralSpec(-math.inf, 0.0, 0.0, -0.5, poles=(-1.0,)),
             TOL,
         )
         assert res.value == pytest.approx(0.0, abs=1e-8)
@@ -504,7 +504,7 @@ class TestPrincipalValue:
         # PV int_0^inf x^(-3/4)/(x-1) dx = -pi cot(pi/4) = -pi
         res = quad.integrate_pv(
             lambda x, dlo, dhi: dlo ** -0.75 / (x - 1.0),
-            IntegralSpec.half_line_up(0.0, alpha_lo=-0.75, poles=(1.0,)),
+            IntegralSpec(0.0, math.inf, -0.75, poles=(1.0,)),
             TOL,
         )
         assert res.value == pytest.approx(-math.pi, rel=1e-6)
@@ -525,7 +525,7 @@ class TestPrincipalValue:
             return -num / den
 
         res = quad.integrate_pv(
-            f, IntegralSpec.real_line(poles=(0.0,)), TOL, folds=(fold,)
+            f, IntegralSpec(-math.inf, math.inf, poles=(0.0,)), TOL, folds=(fold,)
         )
         assert res.value == pytest.approx(0.0, abs=1e-8)
 
@@ -539,7 +539,7 @@ class TestPrincipalValue:
         )
         res = quad.integrate_pv(
             lambda x, dlo, dhi: dlo ** (mu - 1.0) / ((a - x) * (b - x)),
-            IntegralSpec.half_line_up(0.0, alpha_lo=mu - 1.0, poles=(a, b)),
+            IntegralSpec(0.0, math.inf, mu - 1.0, poles=(a, b)),
             TOL,
         )
         assert res.value == pytest.approx(expected, rel=1e-6)
@@ -615,8 +615,8 @@ class TestCallCounts:
         (quad.integrate_finite, lambda x, dlo, dhi: np.exp(-x), IntegralSpec(0.0, 3.0), 4),
         (quad.integrate_finite, lambda x, dlo, dhi: np.cos(20.0 * x), IntegralSpec(0.0, 1.0), 5),
         (quad.integrate_half_line, lambda x, dlo, dhi: 1.0 / (1.0 + x * x),
-         IntegralSpec.half_line_up(0.0), 3),
-        (quad.integrate_half_line, lambda x, dlo, dhi: np.exp(x), IntegralSpec.half_line_down(0.0), 5),
+         IntegralSpec(0.0, math.inf), 3),
+        (quad.integrate_half_line, lambda x, dlo, dhi: np.exp(x), IntegralSpec(-math.inf, 0.0), 5),
         (quad.integrate_real_line, lambda x, dlo, dhi: 1.0 / (1.0 + x * x) ** 2, None, 3),
         (quad.integrate_real_line, lambda x, dlo, dhi: np.exp(-x * x), None, 5),
     ]
@@ -799,7 +799,7 @@ def engine_integrate(f, spec, tol=TOL):
 def engine_level_sum(f, spec):
     """The engine's own one-row block evaluation (call layout, level sums,
     finiteness scan) as a reference-style ``level_sum``."""
-    spec = spec or IntegralSpec.real_line()
+    spec = spec or IntegralSpec(-math.inf, math.inf)
     lo = np.array([[spec.lo]])
     hi = np.array([[spec.hi]])
     transform, args = quad._layout(lo, hi)
@@ -1047,15 +1047,15 @@ class TestBatchedRows:
             lambda x, dlo, dhi, mu: dlo ** (mu - 1.0),
         ),
         "half_line_up": (
-            lambda mu, poles: IntegralSpec.half_line_up(0.0, alpha_lo=mu - 1.0, poles=poles),
+            lambda mu, poles: IntegralSpec(0.0, math.inf, mu - 1.0, poles=poles),
             lambda x, dlo, dhi, mu: dlo ** (mu - 1.0) * np.exp(-x),
         ),
         "half_line_down": (
-            lambda mu, poles: IntegralSpec.half_line_down(0.0, alpha_hi=mu - 1.0, poles=poles),
+            lambda mu, poles: IntegralSpec(-math.inf, 0.0, 0.0, mu - 1.0, poles=poles),
             lambda x, dlo, dhi, mu: dhi ** (mu - 1.0) * np.exp(x),
         ),
         "real_line": (
-            lambda mu, poles: IntegralSpec.real_line(poles),
+            lambda mu, poles: IntegralSpec(-math.inf, math.inf, poles=poles),
             lambda x, dlo, dhi, mu: np.exp(-x * x),
         ),
     }
@@ -1105,17 +1105,17 @@ class TestBatchedRows:
             assert bits(found[i]) == bits(quad.integrate_pv(alone, specs[i], TOL))
         # nor does one whose half-width overflows
         with pytest.raises(quad.PoleWindowError):
-            quad.integrate_pv(_never_called, IntegralSpec.half_line_up(-1e308, poles=(1e308,)))
+            quad.integrate_pv(_never_called, IntegralSpec(-1e308, math.inf, poles=(1e308,)))
         # nor does one whose half-width 7.5e307 is finite but whose cut on
         # the far side of the pole +-1.5e308 overflows, on either half line
-        for make_spec, sign in ((IntegralSpec.half_line_up, 1.0), (IntegralSpec.half_line_down, -1.0)):
+        for ends, sign in (((0.0, math.inf), 1.0), ((-math.inf, 0.0), -1.0)):
             t = sign * np.array([[1.0], [1.5e308], [2.0]])
 
             def tail_f(r, t=t, sign=sign):
                 return lambda x, dlo, dhi: np.exp(-1e-308 * (dlo if sign > 0 else dhi)) / (x - t[r])
 
-            specs = [make_spec(0.0, poles=(v,)) for v in t[:, 0].tolist()]
-            found = quad.integrate_rows(tail_f, make_spec(0.0, poles=(t,)), 3, TOL)
+            specs = [IntegralSpec(*ends, poles=(v,)) for v in t[:, 0].tolist()]
+            found = quad.integrate_rows(tail_f, IntegralSpec(*ends, poles=(t,)), 3, TOL)
             assert isinstance(found[1], quad.PoleWindowError)
             assert str(found[1]) == f"no symmetric window fits around pole {sign * 1.5e308!r}"
             with pytest.raises(quad.PoleWindowError):
@@ -1232,7 +1232,7 @@ class TestBatchedRows:
         with rejects("a spec column of 3 rows does not fit 2 rows"):
             quad.integrate_rows(lambda r: _never_called, IntegralSpec(0.0, hi), 2)
         with rejects("a spec column of 3 rows does not fit 1 rows"):
-            quad.integrate(_never_called, IntegralSpec.real_line(poles=(hi,)))
+            quad.integrate(_never_called, IntegralSpec(-math.inf, math.inf, poles=(hi,)))
         def flat(x, dlo, dhi):
             return np.ones_like(x)
 
@@ -1246,7 +1246,7 @@ class TestBatchedRows:
 _ENGINES = {
     "finite": (IntegralSpec(0.0, 1.0), "tanh_sinh",
                lambda x, dlo, dhi: (dhi, dlo), lambda x: np.ones_like(x)),
-    "half_line": (IntegralSpec.half_line_up(0.0), "exp_sinh",
+    "half_line": (IntegralSpec(0.0, math.inf), "exp_sinh",
                   lambda x, dlo, dhi: (dlo, dlo), lambda x: np.exp(-x)),
     "real_line": (None, "sinh_sinh",
                   lambda x, dlo, dhi: (x, x), lambda x: np.exp(-x * x)),
@@ -1352,7 +1352,7 @@ class TestInvariants:
         )
         half = quad.integrate_half_line(
             lambda t, dlo, dhi: np.exp((a - 1.0) * np.log(dlo) - (a + b) * np.log1p(t)),
-            IntegralSpec.half_line_up(0.0, alpha_lo=a - 1.0),
+            IntegralSpec(0.0, math.inf, a - 1.0),
             TOL,
         )
         assert abs(finite.value - half.value) <= 2.0 * TOL * max(1.0, abs(finite.value))
@@ -1381,13 +1381,13 @@ class TestOracle:
 
     def test_half_line(self):
         orc = oracle.oracle_integrate(
-            lambda x, dlo, dhi: 1.0 / (1.0 + x * x), IntegralSpec.half_line_up(0.0)
+            lambda x, dlo, dhi: 1.0 / (1.0 + x * x), IntegralSpec(0.0, math.inf)
         )
         assert orc == pytest.approx(math.pi / 2.0, rel=1e-9)
 
     def test_real_line(self):
         orc = oracle.oracle_integrate(
-            lambda x, dlo, dhi: np.exp(-x * x), IntegralSpec.real_line()
+            lambda x, dlo, dhi: np.exp(-x * x), IntegralSpec(-math.inf, math.inf)
         )
         assert orc == pytest.approx(SQRT_PI, rel=1e-9)
 
