@@ -6,7 +6,10 @@ seen 5.5e-15) and Beta within 1e-13 on [0.05, 40]^2 (worst seen 6.3e-14
 near a, b = 40, 35: exp(log_beta) amplifies the log-space error), and
 also where one argument b is from 1e3 to 1e18 and the other lies in
 [-2.7, 7.3] (worst seen 6.6e-14), where log Gamma(b) - log Gamma(a+b)
-comes from Stirling's series differenced term by term; both functions
+comes from Stirling's series differenced term by term.  Elsewhere a
+negative argument a < 0 < b reflects onto a Beta of positive arguments
+whose powers are taken as ratios, not as log-Gamma differences (within
+1e-13 for |a|, b <= 1000; worst seen 3.5e-14).  Both functions
 are several orders tighter than the quadrature tolerances used
 downstream.  Gamma uses a fixed-coefficient Lanczos
 approximation (g = 7, 9 terms) with an upward recurrence for large
@@ -20,6 +23,7 @@ series.
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = [
     "gamma",
@@ -230,7 +234,9 @@ def beta(a: float, b: float) -> float:
 
     Computed in log space and exponentiated; arguments are symmetrized
     first so beta(a, b) == beta(b, a) bit for bit.  Negative non-integer
-    arguments are supported through the signed log-Gamma reflection.
+    arguments are supported through the signed log-Gamma reflection, and
+    for a < 0 < b through ``_beta_reflected``, which differences no
+    log-Gammas.
     Where a + b is a non-positive integer and neither a nor b is, B(a, b)
     is a zero with the sign of Gamma(a)Gamma(b).
     """
@@ -250,9 +256,98 @@ def beta(a: float, b: float) -> float:
     if ratio is not None:
         # b is large, so Gamma(b) and Gamma(a + b) are positive
         return sa * math.exp(la + ratio)
+    if a < 0.0 < b:
+        reflected = _beta_reflected(a, b)
+        if reflected is not None:
+            return reflected
     lb, sb = _log_abs_gamma_signed(b)
     lab, sab = _log_abs_gamma_signed(a + b)
     return sa * sb * sab * math.exp(la + lb - lab)
+
+
+def _beta_reflected(a, b):
+    """B(a, b) for a < 0 < b through a Beta of positive arguments, or None
+    when that Beta (times b, for a + b > 0) is below the normal range.
+
+    Reflecting Gamma(a), and Gamma(a + b) when a + b < 0, gives
+        B(a, b) = pi / (sin(pi a) b B(1 - a, a + b))       for a + b > 0,
+        B(a, b) = sin(pi (a + b)) / sin(pi a) B(1 - a - b, b)  for a + b < 0,
+    so no log-Gamma difference cancels.  Where a + b > 0 its rounding (none
+    when |a| >= b/2, by Sterbenz) moves the result by at most about
+    |a| eps/2; where a + b < 0 the rounding error is put back into
+    sin(pi (a + b)) to first order."""
+    c, c_err = _two_sum(a, b)
+    if c > 0.0:
+        inner = b * _beta_lifted(1.0 - a, c)
+        if not inner >= sys.float_info.min:
+            return None
+        value = math.pi / (_sinpi(a) * inner)
+    else:
+        inner = _beta_lifted(1.0 - c, b)
+        if not inner >= sys.float_info.min:
+            return None
+        sin_c = _sinpi(c) + math.pi * c_err * _cospi(c)
+        value = sin_c / _sinpi(a) * inner
+    if math.isinf(value):
+        raise OverflowError(f"beta({a!r}, {b!r}) overflows double precision")
+    return value
+
+
+_STIRLING_MIN = 20.0
+_SPLIT = 2.0 ** 27 + 1.0  # Dekker's splitter for 53-bit significands
+
+
+def _beta_lifted(x, y):
+    """B(x, y) for x, y > 0 from Stirling's series: both arguments are
+    lifted to >= 20 by B(x, y) = B(x + 1, y) (x + y) / x, then
+
+        B(x, y) = sqrt(2 pi c / (x y)) (x/c)^x (y/c)^y
+                  exp(S(x) + S(y) - S(c)),      c = x + y,
+
+    with S the Stirling correction.  The powers are taken as ratios raised
+    by ``**``, with the rounding of c and of each quotient put back to
+    first order, so nothing is differenced in log space.  Returns 0.0
+    when the powers' product is below the normal range, where it has lost
+    bits.  (A ratio of the g = 7 Lanczos sums, as Boost.Math's beta takes
+    it, is off by up to 1.9e-13 here: the sums tend to c0 = 1 - 1.9e-13.)"""
+    scale = 1.0
+    while x < _STIRLING_MIN:
+        scale *= (x + y) / x
+        x += 1.0
+    while y < _STIRLING_MIN:
+        scale *= (x + y) / y
+        y += 1.0
+    c, c_err = _two_sum(x, y)
+    tail = _stirling_correction(x) + _stirling_correction(y) - _stirling_correction(c)
+    powers = _ratio_power(x, c, c_err) * _ratio_power(y, c, c_err)
+    if powers < sys.float_info.min:
+        return 0.0
+    return scale * math.exp(tail) * math.sqrt(2.0 * math.pi * c / (x * y)) * powers
+
+
+def _ratio_power(n, c, c_err):
+    """(n / (c + c_err)) ** n, c_err the low part of c: the quotient's own
+    rounding error, n - q c, is recovered exactly with Dekker's product."""
+    q = n / c
+    p = q * c
+    qh, ql = _split(q)
+    ch, cl = _split(c)
+    residual = (n - p) - (((qh * ch - p) + qh * cl + ql * ch) + ql * cl)
+    return q ** n * math.exp(n * (residual / n - c_err / c))
+
+
+def _two_sum(x, y):
+    """(s, e): s = x + y rounded and e its exact rounding error (Knuth)."""
+    s = x + y
+    v = s - x
+    return s, (x - (s - v)) + (y - v)
+
+
+def _split(x):
+    """x = hi + lo with hi holding the upper 26 bits (Dekker)."""
+    t = _SPLIT * x
+    hi = t - (t - x)
+    return hi, x - hi
 
 
 def digamma(x: float) -> float:

@@ -90,3 +90,27 @@ def test_digamma_with_floor_at_zero():
     xs = list(np.linspace(0.05, 60.0, 600)) + NEAR_ZEROS
     err, x = worst(specfun.digamma, mpmath.digamma, xs, 1.0)
     assert err <= 1e-14, f"digamma err {err:.2e} at x={x}"
+
+
+@pytest.mark.parametrize("a, b", [(-300.5, 400.0), (-600.5, 1000.0), (-900.5, 1000.0)])
+def test_beta_of_a_negative_argument_at_least_half_the_other(a, b):
+    # log|Gamma(a)| + log Gamma(b) - log Gamma(a + b) cancelled here to 9.3e-13
+    v, ref = specfun.beta(a, b), mpmath.beta(a, b)
+    assert float(abs(mpmath.mpf(v) - ref) / abs(ref)) <= 1e-13
+    assert math.copysign(1.0, v) == mpmath.sign(ref)
+
+
+def test_beta_of_a_negative_argument_on_a_grid():
+    rng = np.random.default_rng(20070706)
+    pairs = [(-float(x), float(y)) for x, y in rng.uniform(0.0, 1000.0, size=(300, 2))]
+    pairs += [(-float(x), float(y)) for x, y in rng.uniform(0.0, 3.0, size=(100, 2))]
+    checked = 0
+    for a, b in pairs:
+        ref = mpmath.beta(a, b)
+        if not sys.float_info.min <= abs(ref) <= sys.float_info.max:
+            continue
+        v = specfun.beta(a, b)
+        err = float(abs(mpmath.mpf(v) - ref) / abs(ref))
+        assert err <= 1e-13, f"beta rel err {err:.2e} at (a, b)={(a, b)}"
+        checked += 1
+    assert checked >= 300
