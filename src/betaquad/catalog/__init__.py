@@ -3,9 +3,13 @@
 Public operations:
 
 - ``all_entries()`` / ``entry(id)``: the immutable roster.
-- ``sample_params(rec, seed, index)``: deterministic parameter draws from
+- ``sample_table(rec, seed, indices)``: deterministic parameter draws from
   the entry's validity domain (margin-shrunk ranges, carved exclusions,
-  rejection on relations).
+  rejection on relations), as one column per parameter: a counter-based
+  SplitMix64 stream keyed by (seed, entry), whose counter is the sample
+  index, so each row depends on its index alone.
+- ``sample_params(rec, seed, index)``: one row of that table, as a dict of
+  Python numbers.
 - ``mid_params(rec)``: a fixed mid-domain parameter point.
 - ``closed_form_value(rec, params)``: the tabulated right-hand side.
 - ``endpoint_slope_audit(rec, params)``: log-log slope check of the
@@ -17,8 +21,6 @@ Public operations:
 from __future__ import annotations
 
 import math
-import random
-import _random
 
 import numpy as np
 
@@ -42,6 +44,7 @@ __all__ = [
     "DomainTooTightError",
     "all_entries",
     "entry",
+    "sample_table",
     "sample_params",
     "mid_params",
     "closed_form_value",
@@ -112,43 +115,103 @@ def _resolve_sha256():
 _sha256 = _resolve_sha256()
 
 
-def _stream(entry_id: str, seed: int, index: int) -> random.Random:
-    """Per-sample RNG derived by hashing (seed, entry id, sample index) with
-    the builtin sha256 (the same digest as ``hashlib.sha256``).
-
-    It is the stream of ``random.Random(n)``, seeded once through the C
-    seed rather than the Python wrapper (which only forwards an int)."""
-    digest = _sha256(f"{seed}:{entry_id}:{index}".encode()).digest()
-    rng = random.Random.__new__(random.Random)
-    _random.Random.seed(rng, int.from_bytes(digest[:8], "big"))
-    return rng
+def _entry_key(entry_id: str, seed: int) -> int:
+    """The key of the (seed, entry) stream: the first 8 bytes, big-endian, of
+    the builtin sha256 (the same digest as ``hashlib.sha256``) of
+    ``f"{seed}:{entry_id}"``."""
+    return int.from_bytes(_sha256(f"{seed}:{entry_id}".encode()).digest()[:8], "big")
 
 
-def _draw(rng, plan):
-    """One draw of every parameter.  With the plan's w = b - a, ``a + w *
-    random()`` is the arithmetic of ``uniform(a, b)``."""
-    params = {}
-    ok = True
-    for name, integer, a, w, shrink, exclude in plan:
-        if integer:
-            params[name] = rng.randint(a, a + w)
-        else:
-            v = a + w * rng.random()
-            if exclude and any(abs(v - ex) < shrink for ex in exclude):
-                ok = False
-            params[name] = v
-    return params, ok
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the n-th output of the
+# generator seeded with k is the finaliser of k + n * _GOLDEN, mod 2**64.
+# All of its arithmetic runs on uint64 arrays, which wrap without a warning,
+# and takes only uint64 operands (numpy < 2 can promote uint64 mixed with a
+# Python int or an int64 to float64).
+_U64 = np.uint64
+_GOLDEN, _MIX1, _MIX2 = _U64(0x9E3779B97F4A7C15), _U64(0xBF58476D1CE4E5B9), _U64(0x94D049BB133111EB)
+_ONE, _S8, _S11, _S20, _S27, _S30, _S31 = (_U64(k) for k in (1, 8, 11, 20, 27, 30, 31))
+_MAX_ATTEMPTS = 1000  # < 2**12: an attempt fills bits 8..19 of the counter
+
+
+def _words(key, counters):
+    """SplitMix64's outputs for ``counters`` (a uint64 array), one word each."""
+    z = key + (counters + _ONE) * _GOLDEN
+    z = (z ^ (z >> _S30)) * _MIX1
+    z = (z ^ (z >> _S27)) * _MIX2
+    return z ^ (z >> _S31)
+
+
+def sample_table(rec: IdentityRecord, seed: int, indices):
+    """The parameters of samples ``indices`` of (entry, seed), drawn at once.
+
+    Returns ``(columns, failed)``: a dict of one numpy array per parameter,
+    in plan order (int64 for an integer parameter, float64 for a real one),
+    and a bool array of the rows that found no draw in 1000 attempts (their
+    column values are meaningless).
+
+    Parameter ``slot`` of row ``index`` at ``attempt`` reads the word of
+    counter ``index * 2**20 + attempt * 2**8 + slot`` (so index < 2**44)
+    from the entry's SplitMix64 stream, which is keyed by ``_entry_key``: a
+    counter-based stream (Salmon et al., SC'11), so a row depends on its
+    index alone and n samples are a prefix of m > n.  A real parameter is
+    ``a + w * ((word >> 11) * 2**-53)``; an integer one is ``a + word % m``
+    over its m values, with words >= 2**64 - 2**64 % m rejected, so it has
+    no modulo bias.  A row whose words are rejected, that falls inside a
+    carved exclusion or that breaks a relation is drawn again, alone, at
+    attempt + 1.  Relations are tested on columns: the rows still open,
+    each at 1, 2, 4, ... attempts per round, so 1000 attempts take ten.
+    """
+    dom = rec.domain
+    key = _U64(_entry_key(rec.id, seed))
+    rows = np.asarray(indices, dtype=np.int64)
+    if rows.size and rows.min() < 0:
+        raise ValueError("sample indices must be >= 0")
+    rows = rows.astype(np.uint64) << _S20
+    columns = {name: np.empty(len(rows), dtype=np.int64 if integer else float)
+               for name, integer, *_ in dom.plan}
+    pending = np.arange(len(rows))
+    attempt, block = 0, 1
+    while pending.size and attempt < _MAX_ATTEMPTS:
+        # the next ``block`` attempts of every open row at once, row-major;
+        # each row takes its first accepted one
+        block = min(block, _MAX_ATTEMPTS - attempt)
+        tries = _U64(attempt << 8) + (np.arange(block, dtype=np.uint64) << _S8)
+        base = (rows[pending][:, None] | tries).ravel()
+        ok = np.ones(base.size, dtype=bool)
+        draw = {}
+        for slot, (name, integer, a, w, shrink, exclude) in enumerate(dom.plan):
+            word = _words(key, base | _U64(slot))
+            if integer:
+                unused = 2**64 % (w + 1)  # the words past the last whole run of m
+                if unused:
+                    ok &= word < _U64(2**64 - unused)
+                draw[name] = (word % _U64(w + 1)).astype(np.int64) + a
+            else:
+                v = a + w * ((word >> _S11).astype(float) * 2.0**-53)
+                for ex in exclude:
+                    ok &= ~(np.abs(v - ex) < shrink)
+                draw[name] = v
+        for relation in dom.relations:
+            ok &= relation.holds(draw)
+        ok = ok.reshape(pending.size, block)
+        done = ok.any(axis=1)
+        taken = np.flatnonzero(done) * block + ok.argmax(axis=1)[done]
+        for name, v in draw.items():
+            columns[name][pending[done]] = v[taken]
+        pending = pending[~done]
+        attempt, block = attempt + block, 2 * block
+    failed = np.zeros(len(rows), dtype=bool)
+    failed[pending] = True
+    return columns, failed
 
 
 def sample_params(rec: IdentityRecord, seed: int, index: int) -> dict:
-    """Deterministic parameter assignment for (entry, seed, index)."""
-    rng = _stream(rec.id, seed, index)
-    dom = rec.domain
-    for _ in range(1000):
-        params, ok = _draw(rng, dom.plan)
-        if ok and all(r.holds(params) for r in dom.relations):
-            return params
-    raise DomainTooTightError(rec.id)
+    """Deterministic parameter assignment for (entry, seed, index): row
+    ``index`` of ``sample_table``, as Python ints and floats."""
+    columns, failed = sample_table(rec, seed, (index,))
+    if failed[0]:
+        raise DomainTooTightError(rec.id)
+    return {name: col.tolist()[0] for name, col in columns.items()}
 
 
 def mid_params(rec: IdentityRecord) -> dict:

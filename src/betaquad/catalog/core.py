@@ -52,7 +52,14 @@ class Param:
 
 @dataclass(frozen=True)
 class Relation:
-    """A strict constraint between parameters, e.g. 'b - a > 0.2'."""
+    """A strict constraint between parameters, e.g. 'b - a > 0.2'.
+
+    ``holds`` takes one sample's parameters as numbers, or many samples'
+    as 1-D numpy columns (``catalog.sample_table`` tests relations that
+    way), and returns a bool or a bool array.  Written with ``+ - * /``,
+    ``abs`` and comparisons only, it does the same IEEE operations on a
+    column as on each row alone; ``and``, ``or`` and ``math`` functions do
+    not take columns."""
 
     text: str
     holds: Callable[[dict], bool]

@@ -66,7 +66,7 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
             # one owner of the value: a numpy integer is stored as the int
-            # the samplers and random.Random take
+            # the sampler's key and random.Random take
             object.__setattr__(self, name, int(value))
         if self.samples_per_entry < 1:
             raise ValueError("samples_per_entry must be >= 1")
@@ -165,49 +165,53 @@ _SAMPLE_ERRORS = (catalog.DomainTooTightError, ValueError, OverflowError, quad.Q
 
 
 def _verify_rows(rec, cfg):
-    """All samples of one entry.  Parameters and closed forms are drawn per
-    sample; the integrals of all drawn samples then run as one batch, on
-    one spec.  A row whose batch result is an error, and every row of a
-    batch that raised as a whole (its spec included), is a sample_error: a
-    batched row is bit-identical to its lone sample, so integrating it
-    again alone would give the same error."""
-    names = tuple(name for name, *_ in rec.domain.plan)  # the sample_params key order
+    """All samples of one entry.  The parameters are drawn as one table;
+    closed forms are computed row by row, and the integrals of the rows
+    whose closed form is finite then run as one batch, on one spec, from
+    the table's columns.  A row is a sample_error when it found no draw,
+    when its closed form raised, when its batch result is an error, or when
+    the batch raised as a whole (its spec included): a batched row is
+    bit-identical to its lone sample, so integrating it again alone would
+    give the same error."""
+    columns, failed = catalog.sample_table(rec, cfg.seed, range(cfg.samples_per_entry))
+    names = tuple(columns)  # plan order, shared by all outcomes of the entry
     drawn = []
-    for index in range(cfg.samples_per_entry):
-        params = {}
+    for params, no_draw in zip(_rows(columns), failed.tolist()):
+        if no_draw:
+            drawn.append(({}, math.nan))
+            continue
         try:
-            params = catalog.sample_params(rec, cfg.seed, index)
             closed = catalog.closed_form_value(rec, params)  # finite, or it raises
         except _SAMPLE_ERRORS:
             closed = math.nan
-        drawn.append((index, params, closed))
+        drawn.append((params, closed))
+    batch = [index for index, (_, closed) in enumerate(drawn) if not math.isnan(closed)]
     results = [None] * len(drawn)
-    batch = [row for row in drawn if not math.isnan(row[2])]
     try:
-        found = _batch(rec, [row[1] for row in batch]) if batch else []
+        found = _batch(rec, {name: col[batch, None] for name, col in columns.items()}) if batch else []
     except _SAMPLE_ERRORS:
         found = []  # every row of the batch stays a sample_error
-    for (index, *_), result in zip(batch, found):
+    for index, result in zip(batch, found):
         if isinstance(result, quad.QuadratureResult):
             results[index] = result
     return [
         _outcome(rec, index, names, params, closed, result, cfg)
-        for (index, params, closed), result in zip(drawn, results)
+        for index, ((params, closed), result) in enumerate(zip(drawn, results))
     ]
 
 
-def _batch(rec, params):
-    """``quad.integrate_rows`` over samples of one entry: each row's result,
-    or the QuadratureError it raised.  The spec, integrand and fold
-    factories get the parameters as (rows x 1) columns."""
-    columns = {name: np.array([p[name] for p in params])[:, None] for name in params[0]}
+def _batch(rec, columns):
+    """``quad.integrate_rows`` over samples of one entry, given as (rows x 1)
+    parameter columns: each row's result, or the QuadratureError it raised.
+    The spec, integrand and fold factories get the columns."""
+    count = len(next(iter(columns.values())))
 
     def take(rows):
         return {name: col[rows] for name, col in columns.items()}
 
     make_folds = None if rec.make_folds is None else (lambda rows: rec.make_folds(take(rows)))
     return quad.integrate_rows(
-        lambda rows: rec.make_integrand(take(rows)), rec.make_spec(columns), len(params),
+        lambda rows: rec.make_integrand(take(rows)), rec.make_spec(columns), count,
         ENGINE_REQUEST_TOL, make_folds,
     )
 
@@ -339,8 +343,7 @@ def _beta_gamma(cfg):
 def _duplication_chain(cfg):
     # closed(3.249.5) = 2^(2b-2) B(b,b) = B(1/2,b)/2, via Legendre duplication
     rec = catalog.entry("3.249.5")
-    for index in range(50):
-        params = catalog.sample_params(rec, cfg.seed, index)
+    for params in _rows(_drawn(rec, cfg.seed, range(50))):
         b = params["b"]
         direct = catalog.closed_form_value(rec, params)
         doubled = 2.0 ** (2.0 * b - 2.0) * sf.beta(b, b)
@@ -353,22 +356,26 @@ def _duplication_chain(cfg):
 def _fake_parameter(cfg, entry_id, fake_name):
     """Per p-sample: the two draws' difference (bound 2e-7) and the first
     draw's relative error against the closed form (bound 1e-7).  A draw
-    that did not converge certifies neither: their bound is -inf."""
+    that did not converge certifies neither: their bound is -inf.
+
+    Sample i's first draw is index i; its second is index i + 10_000,
+    redrawn at i + 10_000 + 1, + 2, ... while its fake parameter is within
+    0.05 of the first draw's, and it takes the first draw's p."""
     rec = catalog.entry(entry_id)
-    draws, alts = [], []
-    for index in range(cfg.samples_per_entry):
-        params = catalog.sample_params(rec, cfg.seed, index)
-        alt = catalog.sample_params(rec, cfg.seed, index + 10_000)
-        offset = 1
-        while abs(alt[fake_name] - params[fake_name]) < 0.05:
-            alt = catalog.sample_params(rec, cfg.seed, index + 10_000 + offset)
-            offset += 1
-        alt = dict(alt)
-        alt["p"] = params["p"]
-        draws.append(params)
-        alts.append(alt)
-    found = [_batch(rec, ps) for ps in (draws, alts)]
-    for params, r1, r2 in zip(draws, *found):
+    indices = np.arange(cfg.samples_per_entry)
+    draws = _drawn(rec, cfg.seed, indices)
+    alts = _drawn(rec, cfg.seed, indices + 10_000)
+    close = indices[np.abs(alts[fake_name] - draws[fake_name]) < 0.05]
+    offset = 1
+    while close.size:
+        redrawn = _drawn(rec, cfg.seed, close + 10_000 + offset)
+        for name, col in redrawn.items():
+            alts[name][close] = col
+        close = close[np.abs(redrawn[fake_name] - draws[fake_name][close]) < 0.05]
+        offset += 1
+    alts["p"] = draws["p"]
+    found = [_batch(rec, {name: col[:, None] for name, col in cols.items()}) for cols in (draws, alts)]
+    for params, r1, r2 in zip(_rows(draws), *found):
         for res in (r1, r2):
             if isinstance(res, Exception):
                 raise res
@@ -377,6 +384,21 @@ def _fake_parameter(cfg, entry_id, fake_name):
         certified = r1.converged and r2.converged
         yield abs(r1.value - r2.value), 2e-7 if certified else -math.inf
         yield rel, 1e-7 if certified else -math.inf
+
+
+def _drawn(rec, seed, indices):
+    """The columns ``catalog.sample_table`` draws; a row with no draw raises
+    DomainTooTightError."""
+    columns, failed = catalog.sample_table(rec, seed, indices)
+    if failed.any():
+        raise catalog.DomainTooTightError(rec.id)
+    return columns
+
+
+def _rows(columns):
+    """The rows of parameter columns, each a dict of Python numbers."""
+    for values in zip(*(col.tolist() for col in columns.values())):
+        yield dict(zip(columns, values))
 
 
 # --------------------------------------------------------------------------

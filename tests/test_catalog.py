@@ -1,18 +1,18 @@
 """Catalog roster integrity, sampling determinism, closed-form spot values,
 and the endpoint-exponent audit."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import itertools
 import json
 import math
-import random
 import sys
 
 import numpy as np
 import pytest
 
-from betaquad import catalog, quad, specfun as sf
+from betaquad import catalog, quad, specfun as sf, verify
 from betaquad.catalog import core
 
 
@@ -134,15 +134,125 @@ class TestSampling:
             assert abs(mu) >= 0.05 * 4.0
 
     def test_stream_digest_is_hashlib_sha256(self):
-        for rec, seed, index in itertools.product(
-            catalog.all_entries(), (0, 7, -3, 2**31 - 1, 10**30), (0, 1, 199)
-        ):
-            message = f"{seed}:{rec.id}:{index}".encode()
+        # each (seed, entry) stream is keyed by the first 8 bytes of the
+        # sha256 of "seed:id", as hashlib computes it
+        for rec, seed in itertools.product(catalog.all_entries(), (0, 7, -3, 2**31 - 1, 10**30)):
+            message = f"{seed}:{rec.id}".encode()
             digest = hashlib.sha256(message).digest()
             assert catalog._sha256(message).digest() == digest
-            rng = catalog._stream(rec.id, seed, index)
-            expected = random.Random(int.from_bytes(digest[:8], "big"))
-            assert rng.getrandbits(128) == expected.getrandbits(128)
+            assert catalog._entry_key(rec.id, seed) == int.from_bytes(digest[:8], "big")
+
+    def test_words_are_splitmix64(self):
+        # the word of counter n is output n + 1 of SplitMix64 seeded with the key
+        def splitmix64(state, count):
+            mask = 2**64 - 1
+            for _ in range(count):
+                state = (state + 0x9E3779B97F4A7C15) & mask
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+                yield z ^ (z >> 31)
+
+        key = catalog._entry_key("3.191.3", 7)
+        words = catalog._words(np.uint64(key), np.arange(300, dtype=np.uint64))
+        assert words.dtype == np.uint64
+        assert words.tolist() == list(splitmix64(key, 300))
+
+    @staticmethod
+    def tables(with_margin):
+        for rec, seed, margin in itertools.product(catalog.all_entries(), (7, 11), (0.05, 0.01)):
+            yield with_margin(rec, margin), seed
+
+    def test_fewer_samples_are_a_prefix(self, with_margin):
+        for rec, seed in self.tables(with_margin):
+            short, short_failed = catalog.sample_table(rec, seed, range(20))
+            long, long_failed = catalog.sample_table(rec, seed, range(200))
+            assert not long_failed.any(), rec.id
+            assert list(short) == list(long) == [name for name, *_ in rec.domain.plan]
+            for name in short:
+                assert short[name].dtype == long[name].dtype
+                assert short[name].tobytes() == long[name][:20].tobytes(), (rec.id, seed, name)
+
+    def test_sample_params_is_a_row_of_the_table(self, with_margin):
+        for rec, seed in self.tables(with_margin):
+            columns, _ = catalog.sample_table(rec, seed, range(20))
+            for index in range(20):
+                params = catalog.sample_params(rec, seed, index)
+                row = {name: col.tolist()[index] for name, col in columns.items()}
+                assert list(params.items()) == list(row.items()), (rec.id, seed, index)
+                assert all(type(v) is (int if integer else float)
+                           for v, (_, integer, *_) in zip(params.values(), rec.domain.plan))
+
+    def test_integer_draws_are_uniform(self):
+        # 7000 draws of integer("n", 0, 6): every value, and a chi-square
+        # statistic (6 degrees of freedom) below its 0.999 quantile, 22.46
+        rec = catalog.entry("3.226.1")
+        assert rec.domain.params == (core.integer("n", 0, 6),)
+        columns, failed = catalog.sample_table(rec, 7, range(7000))
+        assert not failed.any()
+        counts = np.bincount(columns["n"], minlength=7)
+        assert counts.size == 7 and (counts > 0).all()
+        assert ((counts - 1000.0) ** 2 / 1000.0).sum() < 22.46
+
+    def test_integer_words_past_the_last_whole_run_are_redrawn(self, monkeypatch):
+        # 2**64 = 7 q + 2: words >= 2**64 - 2 would favour 0 and 1
+        rec = catalog.entry("3.226.1")
+        limit = 2**64 - 2**64 % 7
+        words = catalog._words
+        key = np.uint64(catalog._entry_key(rec.id, 7))
+        plain, _ = catalog.sample_table(rec, 7, range(6))
+        redraw = int(words(key, np.array([(4 << 20) | (1 << 8)], dtype=np.uint64))[0]) % 7
+        for word, row4 in ((limit - 1, 6), (limit, redraw), (2**64 - 1, redraw)):
+            def patched(key, counters, word=word):
+                out = words(key, counters)
+                out[counters == np.uint64(4 << 20)] = np.uint64(word)  # row 4, attempt 0
+                return out
+
+            monkeypatch.setattr(catalog, "_words", patched)
+            columns, failed = catalog.sample_table(rec, 7, range(6))
+            assert not failed.any()
+            assert columns["n"].tolist() == [*plain["n"].tolist()[:4], row4, plain["n"].tolist()[5]]
+
+    @staticmethod
+    def attempts(rec, seed, index):
+        """Every value the single real parameter of ``rec`` takes in row
+        ``index`` over the 1000 attempts: a + w * ((word >> 11) * 2**-53)."""
+        (name, integer, a, w, shrink, exclude), = rec.domain.plan
+        counters = (np.uint64(index) << np.uint64(20)) | (np.arange(1000, dtype=np.uint64) << np.uint64(8))
+        words = catalog._words(np.uint64(catalog._entry_key(rec.id, seed)), counters)
+        return a + w * ((words >> np.uint64(11)).astype(float) * 2.0**-53)
+
+    def test_a_rejected_row_leaves_the_others(self):
+        rec = catalog.entry("3.192.1")
+        plain, _ = catalog.sample_table(rec, 7, range(20))
+        first = plain["p"][5]
+        assert self.attempts(rec, 7, 5)[0] == first
+        not_first = core.Relation("p != row 5's first draw", lambda q: q["p"] != first)
+        fussy = dataclasses.replace(rec, domain=dataclasses.replace(rec.domain, relations=(not_first,)))
+        columns, failed = catalog.sample_table(fussy, 7, range(20))
+        assert not failed.any()
+        others = np.arange(20) != 5
+        assert columns["p"][others].tobytes() == plain["p"][others].tobytes()
+        assert columns["p"][5] == self.attempts(rec, 7, 5)[1] != first
+
+    def test_one_impossible_row_fails_alone(self):
+        # a relation that rejects every value row 2 can draw: that row alone
+        # has no draw, and verify makes it alone a sample_error
+        rec = catalog.entry("3.192.1")
+        impossible = self.attempts(rec, 7, 2)
+        relation = core.Relation("not row 2", lambda q: ~np.isin(q["p"], impossible))
+        tight = dataclasses.replace(rec, domain=dataclasses.replace(rec.domain, relations=(relation,)))
+        columns, failed = catalog.sample_table(tight, 7, range(4))
+        assert failed.tolist() == [False, False, True, False]
+        with pytest.raises(catalog.DomainTooTightError):
+            catalog.sample_params(tight, 7, 2)
+        outcomes = verify.verify_entry(tight, verify.RunConfig(seed=7, samples_per_entry=4))
+        assert [o.status for o in outcomes] == ["pass", "pass", "sample_error", "pass"]
+        assert outcomes[2].param_values == () and math.isnan(outcomes[2].numeric)
+        assert [o.params for o in outcomes[:2]] == [catalog.sample_params(rec, 7, i) for i in range(2)]
+
+    def test_negative_index_is_refused(self):
+        with pytest.raises(ValueError, match="indices"):
+            catalog.sample_table(catalog.entry("3.192.1"), 7, [0, -1])
 
     def test_sha256_falls_back_to_hashlib(self, monkeypatch):
         builtin = any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2"))

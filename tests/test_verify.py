@@ -427,17 +427,15 @@ class TestCorrectnessLedger:
     # CHANGES.md; adding a row is a correctness regression, not a way to
     # make this test pass.
     LEDGER = {
-        ("3.192.1", 5, "fail"),
-        ("3.192.2", 19, "fail"),
-        ("3.192.4", 3, "fail"),
-        ("eq-4.3", 13, "fail"),
-        ("3.194.6", 4, "fail"),
-        ("eq-10.4", 11, "fail"),
-        ("3.192.3", 3, "quad_nonconverged"),
-        ("3.196.5", 5, "quad_nonconverged"),
-        ("eq-10.4", 6, "quad_nonconverged"),
-        ("eq-10.4", 7, "quad_nonconverged"),
-        ("4.251.1", 5, "quad_nonconverged"),
+        ("3.192.2", 16, "fail"),
+        ("3.221.1", 4, "fail"),
+        ("3.225.1", 5, "fail"),
+        ("3.251.3", 5, "fail"),
+        ("4.251.1", 14, "fail"),
+        ("3.221.2", 1, "quad_nonconverged"),
+        ("4.251.1", 11, "quad_nonconverged"),
+        ("4.251.1", 12, "quad_nonconverged"),
+        ("eq-4.3", 8, "quad_nonconverged"),
     }
 
     def test_margin_one_percent_nonpasses(self, with_margin):
@@ -527,6 +525,31 @@ class TestCrossChecks:
         check = fake_check()
         assert not check.passed
         assert check.worst == sound.worst
+
+    @pytest.mark.parametrize("entry_id, fake", [("3.217", "b"), ("3.218", "a")])
+    def test_fake_parameter_redraws_only_close_alternates(self, monkeypatch, entry_id, fake):
+        # the two tables _fake_parameter integrates hold, per sample, the
+        # draw of its index and the first of index + 10_000, + 10_001, ...
+        # whose fake parameter is 0.05 or more away, with the draw's p
+        rec = catalog.entry(entry_id)
+        cfg = verify.RunConfig(seed=7, samples_per_entry=200)
+        batches = []
+        batch = verify._batch
+        monkeypatch.setattr(verify, "_batch", lambda rec, cols: batches.append(cols) or batch(rec, cols))
+        list(verify._fake_parameter(cfg, entry_id, fake))
+        draws, alts = ({name: col[:, 0].tolist() for name, col in cols.items()} for cols in batches)
+        redrawn = 0
+        for index in range(cfg.samples_per_entry):
+            params = catalog.sample_params(rec, 7, index)
+            offset = 0
+            while abs((alt := catalog.sample_params(rec, 7, index + 10_000 + offset))[fake]
+                      - params[fake]) < 0.05:
+                offset += 1
+            redrawn += offset > 0
+            alt["p"] = params["p"]
+            assert {name: col[index] for name, col in draws.items()} == params
+            assert {name: col[index] for name, col in alts.items()} == alt
+        assert redrawn > 0
 
     def test_fake_parameter_tolerances(self):
         cfg = verify.RunConfig(seed=7, samples_per_entry=20)
