@@ -126,10 +126,15 @@ def _entry_key(entry_id: str, seed: int) -> int:
 # generator seeded with k is the finaliser of k + n * _GOLDEN, mod 2**64.
 # All of its arithmetic runs on uint64 arrays, which wrap without a warning,
 # and takes only uint64 operands (numpy < 2 can promote uint64 mixed with a
-# Python int or an int64 to float64).
+# Python int or an int64 to float64).  Each ufunc loop a process first uses
+# pages in 64-128 kB of numpy's code, so sample_table keeps to loops verify
+# already runs where it can: counter fields are joined with + (their bits do
+# not overlap), integer words are bounded in float64, and each row's first
+# accepted attempt is found with where and min.
 _U64 = np.uint64
 _GOLDEN, _MIX1, _MIX2 = _U64(0x9E3779B97F4A7C15), _U64(0xBF58476D1CE4E5B9), _U64(0x94D049BB133111EB)
 _ONE, _S8, _S11, _S20, _S27, _S30, _S31 = (_U64(k) for k in (1, 8, 11, 20, 27, 30, 31))
+_TOP = _U64(2**64 - 1)
 _MAX_ATTEMPTS = 1000  # < 2**12: an attempt fills bits 8..19 of the counter
 
 
@@ -176,15 +181,17 @@ def sample_table(rec: IdentityRecord, seed: int, indices):
         # each row takes its first accepted one
         block = min(block, _MAX_ATTEMPTS - attempt)
         tries = _U64(attempt << 8) + (np.arange(block, dtype=np.uint64) << _S8)
-        base = (rows[pending][:, None] | tries).ravel()
+        base = (rows[pending][:, None] + tries).ravel()
         ok = np.ones(base.size, dtype=bool)
         draw = {}
         for slot, (name, integer, a, w, shrink, exclude) in enumerate(dom.plan):
-            word = _words(key, base | _U64(slot))
+            word = _words(key, base + _U64(slot))
             if integer:
                 unused = 2**64 % (w + 1)  # the words past the last whole run of m
                 if unused:
-                    ok &= word < _U64(2**64 - unused)
+                    # word < 2**64 - unused; the float of 2**64 - 1 - word
+                    # compares exactly with the small ``unused``
+                    ok &= (_TOP - word).astype(float) >= unused
                 draw[name] = (word % _U64(w + 1)).astype(np.int64) + a
             else:
                 v = a + w * ((word >> _S11).astype(float) * 2.0**-53)
@@ -195,7 +202,8 @@ def sample_table(rec: IdentityRecord, seed: int, indices):
             ok &= relation.holds(draw)
         ok = ok.reshape(pending.size, block)
         done = ok.any(axis=1)
-        taken = np.flatnonzero(done) * block + ok.argmax(axis=1)[done]
+        first = np.where(ok, np.arange(block), block).min(axis=1)
+        taken = np.flatnonzero(done) * block + first[done]
         for name, v in draw.items():
             columns[name][pending[done]] = v[taken]
         pending = pending[~done]
