@@ -129,8 +129,10 @@ def _entry_key(entry_id: str, seed: int) -> int:
 # Python int or an int64 to float64).  Each ufunc loop a process first uses
 # pages in 64-128 kB of numpy's code, so sample_table keeps to loops verify
 # already runs where it can: counter fields are joined with + (their bits do
-# not overlap), integer words are bounded in float64, and each row's first
-# accepted attempt is found with where and min.
+# not overlap), integer words are bounded in float64, relations see integer
+# parameters as float64 (exact below 2**53; an int64 comparison alone pages
+# in 128 kB), and each row's first accepted attempt is found with where and
+# min.
 _U64 = np.uint64
 _GOLDEN, _MIX1, _MIX2 = _U64(0x9E3779B97F4A7C15), _U64(0xBF58476D1CE4E5B9), _U64(0x94D049BB133111EB)
 _ONE, _S8, _S11, _S20, _S27, _S30, _S31 = (_U64(k) for k in (1, 8, 11, 20, 27, 30, 31))
@@ -172,7 +174,7 @@ def sample_table(rec: IdentityRecord, seed: int, indices):
     if rows.size and rows.min() < 0:
         raise ValueError("sample indices must be >= 0")
     rows = rows.astype(np.uint64) << _S20
-    columns = {name: np.empty(len(rows), dtype=np.int64 if integer else float)
+    columns = {name: np.empty(len(rows), dtype=np.uint64 if integer else float)
                for name, integer, *_ in dom.plan}
     pending = np.arange(len(rows))
     attempt, block = 0, 1
@@ -183,7 +185,9 @@ def sample_table(rec: IdentityRecord, seed: int, indices):
         tries = _U64(attempt << 8) + (np.arange(block, dtype=np.uint64) << _S8)
         base = (rows[pending][:, None] + tries).ravel()
         ok = np.ones(base.size, dtype=bool)
-        draw = {}
+        # drawn: the stored values (an integer parameter's word % m, uint64);
+        # draw: the values relations test
+        drawn, draw = {}, {}
         for slot, (name, integer, a, w, shrink, exclude) in enumerate(dom.plan):
             word = _words(key, base + _U64(slot))
             if integer:
@@ -192,22 +196,26 @@ def sample_table(rec: IdentityRecord, seed: int, indices):
                     # word < 2**64 - unused; the float of 2**64 - 1 - word
                     # compares exactly with the small ``unused``
                     ok &= (_TOP - word).astype(float) >= unused
-                draw[name] = (word % _U64(w + 1)).astype(np.int64) + a
+                drawn[name] = word % _U64(w + 1)
+                draw[name] = drawn[name].astype(float) + a
             else:
                 v = a + w * ((word >> _S11).astype(float) * 2.0**-53)
                 for ex in exclude:
                     ok &= ~(np.abs(v - ex) < shrink)
-                draw[name] = v
+                drawn[name] = draw[name] = v
         for relation in dom.relations:
             ok &= relation.holds(draw)
         ok = ok.reshape(pending.size, block)
         done = ok.any(axis=1)
         first = np.where(ok, np.arange(block), block).min(axis=1)
         taken = np.flatnonzero(done) * block + first[done]
-        for name, v in draw.items():
+        for name, v in drawn.items():
             columns[name][pending[done]] = v[taken]
         pending = pending[~done]
         attempt, block = attempt + block, 2 * block
+    for name, integer, a, *_ in dom.plan:
+        if integer:
+            columns[name] = columns[name].astype(np.int64) + a
     failed = np.zeros(len(rows), dtype=bool)
     failed[pending] = True
     return columns, failed

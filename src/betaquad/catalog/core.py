@@ -56,10 +56,11 @@ class Relation:
 
     ``holds`` takes one sample's parameters as numbers, or many samples'
     as 1-D numpy columns (``catalog.sample_table`` tests relations that
-    way), and returns a bool or a bool array.  Written with ``+ - * /``,
-    ``abs`` and comparisons only, it does the same IEEE operations on a
-    column as on each row alone; ``and``, ``or`` and ``math`` functions do
-    not take columns."""
+    way, with integer parameters as float64 columns of whole numbers), and
+    returns a bool or a bool array.  Written with ``+ - * /``, ``abs`` and
+    comparisons only, it does the same IEEE operations on a column as on
+    each row alone (an int is exact as a float here); ``and``, ``or`` and
+    ``math`` functions do not take columns."""
 
     text: str
     holds: Callable[[dict], bool]
