@@ -185,8 +185,8 @@ def sample_table(rec: IdentityRecord, seed: int, indices):
         tries = _U64(attempt << 8) + (np.arange(block, dtype=np.uint64) << _S8)
         base = (rows[pending][:, None] + tries).ravel()
         ok = np.ones(base.size, dtype=bool)
-        # drawn: the stored values (an integer parameter's word % m, uint64);
-        # draw: the values relations test
+        # drawn: what the table stores (an integer parameter as its uint64
+        # offset word % m); draw: what relations test, all float64
         drawn, draw = {}, {}
         for slot, (name, integer, a, w, shrink, exclude) in enumerate(dom.plan):
             word = _words(key, base + _U64(slot))
